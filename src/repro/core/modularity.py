@@ -103,9 +103,9 @@ def sampled_modularity_tensor(membership: Tensor, idx: np.ndarray,
     parts can be reweighted separately (a plain ``(n/s)²`` scale on the
     squared sum would be biased upward by the sample variance).
 
-    When ``idx`` covers every node both scales are 1 and the value
-    equals :func:`generalized_modularity_tensor` exactly (up to
-    floating-point association).
+    When ``idx`` covers every node both scales are 1, and the value and
+    its gradient with respect to ``membership`` both equal those of
+    :func:`generalized_modularity_tensor`.
     """
     s = int(idx.size)
     n = int(num_nodes)
@@ -116,9 +116,10 @@ def sampled_modularity_tensor(membership: Tensor, idx: np.ndarray,
     dtype = membership.data.dtype
     block = proximity[idx][:, idx].tocsr()
     # tr(PᵀÃP): block total, then split the diagonal out so each part
-    # carries its own inverse inclusion probability.
+    # carries its own inverse inclusion probability.  Row-normalised Ã is
+    # not symmetric, so the backward pass needs the block's own transpose.
     observed_all = (membership * spmm(block, membership,
-                                      transpose=block)).sum()
+                                      transpose=block.T.tocsr())).sum()
     diag = Tensor(prox_diag[idx].astype(dtype, copy=False)[:, None])
     diag_part = (diag * membership * membership).sum()
     observed = ((observed_all - diag_part) * f_pair + diag_part * f_node)

@@ -125,6 +125,27 @@ class TestEstimatorConsistency:
             ws.prox_diagonal()).item()
         assert full_batch == pytest.approx(exact, rel=1e-9)
 
+    def test_sampled_modularity_gradient_equals_exact_on_full_batch(self):
+        # Row-normalised Ã is not symmetric: a backward pass through Ã
+        # instead of Ãᵀ keeps the value exact but bends the gradient.
+        graph = sparse_dcsbm(300, 4, np.random.default_rng(0),
+                             num_features=16)
+        ws = build_workspace(graph, AnECIConfig(num_communities=4,
+                                                train_mode="sampled"))
+        assert (ws.prox != ws.prox.T).nnz > 0
+        logits = np.random.default_rng(1).normal(size=(300, 4))
+        p_exact = Tensor(logits, requires_grad=True)
+        p_sampled = Tensor(logits.copy(), requires_grad=True)
+        exact = generalized_modularity_tensor(
+            p_exact.softmax(axis=-1), ws.prox, ws.degrees, ws.two_m)
+        sampled = sampled_modularity_tensor(
+            p_sampled.softmax(axis=-1), np.arange(300, dtype=np.int64),
+            ws.prox, ws.degrees, ws.two_m, ws.num_nodes, ws.prox_diagonal())
+        exact.backward()
+        sampled.backward()
+        assert sampled.item() == exact.item()
+        assert np.array_equal(p_sampled.grad, p_exact.grad)
+
     def test_sampled_modularity_mean_matches_exact(self):
         graph = small_graph()
         ws = build_workspace(graph, AnECIConfig(num_communities=3,
