@@ -5,6 +5,7 @@ Covers the ``train_mode="sampled"`` path end to end:
 * full-batch default still reproduces the pre-change digests (both
   backends, both dtypes) — the sampled machinery must be invisible when
   off;
+* a sampled-mode AnECI+ fit reproduces its own pinned digests;
 * the sampled reconstruction and modularity losses are statistically
   consistent with their exact counterparts on small graphs;
 * the fanout-bounded minibatch forward is bit-identical to the full
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import AnECI, AnECIConfig, workspace_cache
+from repro.core import AnECI, AnECIConfig, AnECIPlus, workspace_cache
 from repro.core.aneci import _minibatch_forward, _sampled_reconstruction
 from repro.core.encoder import GCNEncoder
 from repro.core.modularity import (generalized_modularity_tensor,
@@ -63,6 +64,16 @@ FULL_MODE_HASHES = {
                 "1bb0f44150bcb535fd202e1dbb5470b7"),
 }
 
+# AnECI+ (embedding, membership) digests of a sampled-mode fit on a
+# 3000-node DC-SBM whose 512-node batches cover part of the graph.
+# Recorded once the sampled modularity backward used the block's
+# transpose; the edge removal, workspace and minibatch speed-ups that
+# followed must keep reproducing them.
+SAMPLED_PLUS_KWARGS = dict(train_mode="sampled", batch_nodes=512,
+                           edge_samples=1024, negative_samples=5, fanout=10)
+SAMPLED_PLUS_HASHES = ("ddef7472e14bfe336fec3ab1f40ae8b0",
+                       "3dc45a4f964b137085d84e8c7bcb060a")
+
 
 # --------------------------------------------------------------------- #
 # Full-batch default stays bit-identical                                 #
@@ -80,6 +91,18 @@ class TestFullModeUnchanged:
         expected_emb, expected_mem = FULL_MODE_HASHES[dtype]
         assert _hash(embedding) == expected_emb
         assert _hash(model.membership()) == expected_mem
+
+    def test_sampled_aneci_plus_matches_pinned_hashes(self):
+        workspace_cache().clear()
+        graph = sparse_dcsbm(3000, 10, np.random.default_rng(0),
+                             avg_degree=10.0, mixing=0.1, num_features=64)
+        model = AnECIPlus(graph.num_features, num_communities=10, seed=0,
+                          alpha=4.0, epochs=3, lr=0.05, dtype="float64",
+                          **SAMPLED_PLUS_KWARGS)
+        embedding = model.fit_transform(graph)
+        assert model.denoise_result.num_dropped == 1577
+        assert _hash(embedding) == SAMPLED_PLUS_HASHES[0]
+        assert _hash(model.membership()) == SAMPLED_PLUS_HASHES[1]
 
     def test_default_train_mode_is_full(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRAIN_MODE", raising=False)
