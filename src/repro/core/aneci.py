@@ -729,8 +729,7 @@ def _minibatch_forward(encoder, features: Tensor, workspace: FitWorkspace,
     seeds = np.asarray(idx, dtype=np.int64)
     for _ in range(num_layers):
         out_ptr, cols, vals = sampler.sample(seeds, rng)
-        in_nodes = np.unique(cols)
-        local_cols = np.searchsorted(in_nodes, cols)
+        in_nodes, local_cols = _compact_columns(cols, workspace.num_nodes)
         block = sp.csr_matrix(
             (vals, local_cols.astype(np.int32, copy=False),
              out_ptr.astype(np.int32, copy=False)),
@@ -739,6 +738,16 @@ def _minibatch_forward(encoder, features: Tensor, workspace: FitWorkspace,
         seeds = in_nodes
     blocks.reverse()
     return encoder.forward_blocks(features[seeds], blocks)
+
+
+def _compact_columns(cols: np.ndarray,
+                     num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct node ids of ``cols`` and each entry's rank among
+    them — ``np.unique(cols)`` and ``np.searchsorted`` of it, from one
+    boolean mark over the nodes instead of a sort."""
+    mark = np.zeros(num_nodes, dtype=bool)
+    mark[cols] = True
+    return np.flatnonzero(mark), (np.cumsum(mark) - 1)[cols]
 
 
 def _sampled_reconstruction(dec: Tensor, block: sp.csr_matrix,

@@ -25,7 +25,10 @@ def edge_anomaly_scores(embedding: np.ndarray, edges: np.ndarray) -> np.ndarray:
         raise ValueError("edges must be an (M, 2) array")
     z_i = embedding[edges[:, 0]]
     z_j = embedding[edges[:, 1]]
-    norms = (np.linalg.norm(z_i, axis=1) * np.linalg.norm(z_j, axis=1))
+    # One norm per node, gathered per endpoint: the same per-row values
+    # as norming the gathered rows, at a fraction of the work.
+    node_norms = np.linalg.norm(embedding, axis=1)
+    norms = node_norms[edges[:, 0]] * node_norms[edges[:, 1]]
     norms = np.maximum(norms, 1e-12)
     cosine = np.sum(z_i * z_j, axis=1) / norms
     return 1.0 - cosine

@@ -248,12 +248,15 @@ def build_workspace(graph: Graph, config: AnECIConfig,
             prox = prox.astype(dtype)
             recon_target = prox if shared else recon_target.astype(dtype)
             degrees = degrees.astype(dtype)
+        lazy_dense = config.train_mode == "sampled"
         cached_transpose(adj_norm)  # pre-warm the spmm backward transposes
-        cached_transpose(prox)
+        if not lazy_dense:
+            # The sampled modularity term passes its own block transpose;
+            # only the full-batch term multiplies by the whole of Ã.
+            cached_transpose(prox)
         n = graph.num_nodes
         sample_nodes = (config.recon_sample_size
                         if n > config.recon_sample_size else None)
-        lazy_dense = config.train_mode == "sampled"
         if lazy_dense:
             # Sampled training never needs the dense N×N target — skip
             # the densification unconditionally (dense_gather_cap() does

@@ -202,13 +202,38 @@ class Graph:
         return self.with_adjacency(adj.tocsr())
 
     def remove_edges(self, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Return a copy with ``edges`` removed (missing edges are ignored)."""
-        adj = self.adjacency.tolil(copy=True)
-        for u, v in edges:
-            adj[u, v] = 0.0
-            adj[v, u] = 0.0
-        result = adj.tocsr()
-        result.eliminate_zeros()
+        """Return a copy with ``edges`` removed (missing edges are ignored).
+
+        Endpoints index like sparse-matrix entries: negative ids count
+        from the end and ids outside ``[-N, N)`` raise ``IndexError``.
+        One mask over the sorted CSR entry codes ``row·N + col`` drops
+        both orientations of every pair at once.
+        """
+        n = self.num_nodes
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray)
+                           else list(edges)).reshape(-1, 2)
+        if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
+            raise ValueError("edge endpoints must be integers")
+        pairs = pairs.astype(np.int64, copy=False)
+        if ((pairs < -n) | (pairs >= n)).any():
+            raise IndexError(f"edge endpoint out of range for {n} nodes")
+        pairs = np.where(pairs < 0, pairs + n, pairs)
+        adj = self.adjacency
+        if not adj.has_canonical_format:
+            adj = adj.copy()
+            adj.sum_duplicates()
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+        codes = rows * n + adj.indices
+        drop = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                       pairs[:, 1] * n + pairs[:, 0]]))
+        pos = np.minimum(np.searchsorted(codes, drop), max(codes.size - 1, 0))
+        keep = adj.data != 0
+        if codes.size:
+            keep[pos[codes[pos] == drop]] = False
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        result = sp.csr_matrix(
+            (adj.data[keep], adj.indices[keep], kept[adj.indptr]),
+            shape=adj.shape)
         return self.with_adjacency(result)
 
     def flip_edges(self, edges: Iterable[Sequence[int]]) -> "Graph":

@@ -116,6 +116,87 @@ class TestEdgeOperations:
         assert len(edges) == 3
 
 
+def _lil_remove_edges(graph: Graph, edges) -> Graph:
+    """Reference edge removal: one LIL assignment per orientation."""
+    adj = graph.adjacency.tolil(copy=True)
+    for u, v in edges:
+        adj[u, v] = 0.0
+        adj[v, u] = 0.0
+    result = adj.tocsr()
+    result.eliminate_zeros()
+    return graph.with_adjacency(result)
+
+
+def _random_graph(rng, n: int, p: float) -> Graph:
+    upper = sp.triu(sp.random(n, n, density=p, random_state=rng,
+                              format="csr"), k=1)
+    upper.data[:] = 1.0
+    return Graph(adjacency=(upper + upper.T).tocsr(), features=np.eye(n))
+
+
+def _assert_same_csr(got: Graph, want: Graph) -> None:
+    a, b = got.adjacency, want.adjacency
+    assert a.shape == b.shape
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                 (a.data, b.data)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+class TestRemoveEdgesMatchesLIL:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_drops(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 200))
+        g = _random_graph(rng, n, float(rng.uniform(0.02, 0.2)))
+        edges = g.edge_list()
+        present = edges[rng.choice(len(edges), len(edges) // 3,
+                                   replace=False)]
+        drop = np.concatenate([
+            present,                          # present edges
+            present[: len(present) // 4, ::-1],  # reversed orientation
+            present[:5],                      # duplicate pairs
+            rng.integers(0, n, (20, 2)),      # mostly missing edges
+        ])
+        drop = drop[rng.permutation(len(drop))]
+        _assert_same_csr(g.remove_edges(drop), _lil_remove_edges(g, drop))
+        as_tuples = [(int(u), int(v)) for u, v in drop]
+        _assert_same_csr(g.remove_edges(as_tuples),
+                         _lil_remove_edges(g, as_tuples))
+
+    def test_every_edge_removed(self):
+        g = _random_graph(np.random.default_rng(1), 50, 0.1)
+        drop = g.edge_list()
+        result = g.remove_edges(drop)
+        assert result.num_edges == 0
+        _assert_same_csr(result, _lil_remove_edges(g, drop))
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2), dtype=np.int64)])
+    def test_empty_drop_list(self, empty):
+        g = _random_graph(np.random.default_rng(2), 30, 0.2)
+        _assert_same_csr(g.remove_edges(empty), _lil_remove_edges(g, []))
+
+    def test_negative_ids_count_from_the_end(self):
+        g = _random_graph(np.random.default_rng(3), 40, 0.3)
+        drop = [(-1, 3), (-40, -2), (5, -7)]
+        _assert_same_csr(g.remove_edges(drop), _lil_remove_edges(g, drop))
+
+    @pytest.mark.parametrize("bad", [[(0, 40)], [(40, 0)], [(-41, 1)],
+                                     [(1, 2), (3, 99)]])
+    def test_out_of_range_endpoint_raises_like_lil(self, bad):
+        g = _random_graph(np.random.default_rng(4), 40, 0.2)
+        with pytest.raises(IndexError):
+            _lil_remove_edges(g, bad)
+        with pytest.raises(IndexError):
+            g.remove_edges(bad)
+
+    def test_input_graph_untouched(self):
+        g = _random_graph(np.random.default_rng(5), 30, 0.3)
+        before = g.adjacency.copy()
+        g.remove_edges(g.edge_list()[:10])
+        assert (g.adjacency != before).nnz == 0
+
+
 class TestInterop:
     def test_to_networkx(self):
         g = triangle_graph(labels=np.array([0, 0, 1])).to_networkx()

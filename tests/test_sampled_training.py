@@ -26,14 +26,16 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import AnECI, AnECIConfig, AnECIPlus, workspace_cache
-from repro.core.aneci import _minibatch_forward, _sampled_reconstruction
+from repro.core.aneci import (_compact_columns, _minibatch_forward,
+                              _sampled_reconstruction)
 from repro.core.encoder import GCNEncoder
 from repro.core.modularity import (generalized_modularity_tensor,
                                    sampled_modularity_tensor)
 from repro.core.workspace import (_config_knobs, build_workspace,
-                                  cache_disabled, dense_gather_cap)
+                                  cache_disabled, dense_gather_cap,
+                                  get_workspace)
 from repro.graph.generators import planted_partition, sparse_dcsbm
-from repro.nn import Tensor, functional as F
+from repro.nn import Tensor, autograd, functional as F
 from repro.nn.backend import NeighborSampler, use_backend
 from repro.obs import metrics
 
@@ -275,6 +277,21 @@ class TestNeighborSampler:
         z_full = enc(feats, ws.adj_norm)
         assert np.allclose(z_blocks.data, z_full.data[idx], atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_compact_columns_matches_unique_searchsorted(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 500))
+        cols = np.concatenate([
+            rng.integers(0, n, int(rng.integers(1, 3 * n))),
+            [n - 1, n - 1, 0]]).astype(np.int64)
+        cols = cols[rng.permutation(cols.size)]
+        in_nodes, local_cols = _compact_columns(cols, n)
+        expected = np.unique(cols)
+        assert np.array_equal(in_nodes, expected)
+        assert in_nodes.dtype == expected.dtype
+        assert np.array_equal(local_cols, np.searchsorted(expected, cols))
+        assert np.array_equal(in_nodes[local_cols], cols)
+
     def test_fanout_validation(self):
         graph = small_graph()
         ws = build_workspace(graph, AnECIConfig(num_communities=3))
@@ -394,6 +411,24 @@ class TestConfigAndWorkspace:
             "workspace.dense_skipped_bytes").value == expected
         with pytest.raises(RuntimeError, match="no dense target"):
             ws.dense_target()
+
+    def test_sampled_fit_never_transposes_the_proximity(self):
+        graph = small_graph()
+        workspace_cache().clear()
+        model = _model(graph, **SAMPLED_KWARGS)
+        model.fit(graph)
+        ws = get_workspace(graph, model.config)
+        assert id(ws.adj_norm) in autograd._TRANSPOSE_CACHE
+        assert id(ws.prox) not in autograd._TRANSPOSE_CACHE
+
+    def test_full_fit_prewarms_the_proximity_transpose(self):
+        graph = small_graph()
+        workspace_cache().clear()
+        model = _model(graph, train_mode="full", epochs=2)
+        ws = get_workspace(graph, model.config)
+        assert id(ws.prox) in autograd._TRANSPOSE_CACHE
+        model.fit(graph)
+        assert get_workspace(graph, model.config) is ws
 
     def test_full_workspace_still_densifies(self):
         graph = small_graph()
