@@ -223,13 +223,14 @@ class Graph:
             adj = adj.copy()
             adj.sum_duplicates()
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
-        codes = rows * n + adj.indices
+        # The trailing sentinel n² lies above every entry code, so each
+        # search lands on a real index and never matches past the end.
+        codes = np.append(rows * n + adj.indices, n * n)
         drop = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
                                        pairs[:, 1] * n + pairs[:, 0]]))
-        pos = np.minimum(np.searchsorted(codes, drop), max(codes.size - 1, 0))
+        pos = np.searchsorted(codes, drop)
         keep = adj.data != 0
-        if codes.size:
-            keep[pos[codes[pos] == drop]] = False
+        keep[pos[codes[pos] == drop]] = False
         kept = np.concatenate(([0], np.cumsum(keep)))
         result = sp.csr_matrix(
             (adj.data[keep], adj.indices[keep], kept[adj.indptr]),

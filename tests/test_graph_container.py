@@ -190,6 +190,15 @@ class TestRemoveEdgesMatchesLIL:
         with pytest.raises(IndexError):
             g.remove_edges(bad)
 
+    def test_unsorted_input_indices(self):
+        # A 4-cycle whose CSR rows list their columns in reverse order.
+        adj = sp.csr_matrix((np.ones(8), [3, 1, 2, 0, 3, 1, 2, 0],
+                             [0, 2, 4, 6, 8]), shape=(4, 4))
+        g = Graph(adjacency=adj, features=np.eye(4))
+        assert not g.adjacency.has_canonical_format
+        got = g.remove_edges([(0, 1)])
+        _assert_same_csr(got, _lil_remove_edges(g, [(0, 1)]))
+
     def test_input_graph_untouched(self):
         g = _random_graph(np.random.default_rng(5), 30, 0.3)
         before = g.adjacency.copy()
