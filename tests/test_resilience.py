@@ -22,8 +22,9 @@ from repro.resilience import (CheckpointError, CheckpointManager,
                               DivergenceError, DivergenceGuard,
                               RecoveryPolicy)
 from repro.resilience import faultinject
-from repro.resilience.checkpoint import (read_checkpoint, run_key,
-                                         write_checkpoint)
+from repro.core.config import AnECIConfig
+from repro.resilience.checkpoint import (config_fingerprint, read_checkpoint,
+                                         run_key, write_checkpoint)
 from repro.resilience.faultinject import parse_plan
 
 
@@ -231,6 +232,18 @@ class TestCheckpointManager:
                                epoch=0)
         with pytest.raises(CheckpointError):
             read_checkpoint(str(tmp_path / "ckpt-r0000-e0000000.ckpt"))
+
+
+class TestRunIdentity:
+    def test_config_fingerprint_is_pinned(self):
+        # Every env-defaulted field is passed explicitly so any CI env leg
+        # builds the same config.  A change here invalidates the run key
+        # of every existing checkpoint and ledger entry.
+        config = AnECIConfig(num_communities=3, dtype="float64",
+                             train_mode="full", divergence_policy="recover",
+                             batch_nodes=4096, edge_samples=8192,
+                             negative_samples=5, fanout=10)
+        assert config_fingerprint(config) == "167d91c40a00b0c9"
 
 
 # --------------------------------------------------------------------- #
