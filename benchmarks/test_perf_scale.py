@@ -19,9 +19,9 @@ root (override the path with ``REPRO_BENCH_SCALE_OUT``):
   checks that per-epoch time grows far slower than the 16× a quadratic
   epoch would show between 25k and 100k nodes.
 
-``hardware_limited`` is honest: this container has one core and no
-numba, so absolute timings are pessimistic; the parity and sublinearity
-gates do not depend on either.  ``REPRO_PERF_SMOKE=1`` shrinks every
+``hardware_limited`` is true on a single core, where absolute timings
+are pessimistic; the parity and sublinearity gates do not depend on
+it.  ``REPRO_PERF_SMOKE=1`` shrinks every
 case for CI smoke legs (quality/sublinearity gates are skipped — the
 shrunken graphs are too small to be meaningful).
 
@@ -45,7 +45,6 @@ from repro.core import AnECI, workspace_cache
 from repro.graph.generators import sparse_dcsbm
 from repro.metrics import newman_modularity, normalized_mutual_info
 from repro.nn.autograd import clear_transpose_cache
-from repro.nn.backend import NUMBA_AVAILABLE
 
 SMOKE = os.environ.get("REPRO_PERF_SMOKE", "") == "1"
 REPEATS = 1 if SMOKE else int(os.environ.get("REPRO_PERF_REPEATS", "3"))
@@ -53,9 +52,9 @@ OUT_PATH = Path(os.environ.get(
     "REPRO_BENCH_SCALE_OUT",
     Path(__file__).resolve().parent.parent / "BENCH_scale.json"))
 
-#: One core / no numba makes the absolute numbers pessimistic; the
-#: parity and sublinearity gates are hardware-independent.
-HARDWARE_LIMITED = not NUMBA_AVAILABLE or (os.cpu_count() or 1) <= 1
+#: One core makes the absolute numbers pessimistic; the parity and
+#: sublinearity gates are hardware-independent.
+HARDWARE_LIMITED = (os.cpu_count() or 1) <= 1
 
 SAMPLED = dict(train_mode="sampled", batch_nodes=4096, edge_samples=8192,
                negative_samples=5, fanout=10)
@@ -248,7 +247,6 @@ def test_write_results():
         "smoke": SMOKE,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "numba_available": NUMBA_AVAILABLE,
         "cpu_count": os.cpu_count() or 1,
         "hardware_limited": HARDWARE_LIMITED,
         "cases": [_RESULTS[name] for name in CASES],

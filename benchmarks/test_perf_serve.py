@@ -7,7 +7,7 @@ Five cases feed the tracked ``BENCH_serve.json`` at the repo root
   front end with the LRU enabled, cycling a small hot set of
   ``similar_nodes`` queries over a 25k-node community-structured store.
   The throughput gate requires ≥ 1000 req/s unless the host is
-  ``hardware_limited`` (one core, no numba — this container).
+  ``hardware_limited`` (a single core).
 * ``serve_uncached_25k`` — the same front end with the cache disabled
   and every request distinct: the honest per-query cost of the blocked
   exact k-NN scan, batched by the micro-batching window.
@@ -28,8 +28,8 @@ Five cases feed the tracked ``BENCH_serve.json`` at the repo root
   faults, and once they stop the server must probe its way back to
   ``ok``.
 
-``hardware_limited`` is honest: absolute req/s on a single core without
-numba is pessimistic; the recall, caching and memory gates do not
+``hardware_limited`` is honest: absolute req/s on a single core is
+pessimistic; the recall, caching and memory gates do not
 depend on it.  ``REPRO_PERF_SMOKE=1`` shrinks every case for CI smoke
 legs (throughput/memory gates are skipped — the shrunken stores are too
 small to be meaningful).
@@ -52,7 +52,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.nn.backend import NUMBA_AVAILABLE
 from repro.resilience import faultinject
 from repro.serve import EmbeddingServer, EmbeddingStore, ExactIndex, IVFIndex
 from repro.serve.server import load_generator
@@ -62,9 +61,9 @@ OUT_PATH = Path(os.environ.get(
     "REPRO_BENCH_SERVE_OUT",
     Path(__file__).resolve().parent.parent / "BENCH_serve.json"))
 
-#: One core / no numba makes absolute req/s pessimistic; the recall,
+#: One core makes absolute req/s pessimistic; the recall,
 #: cache-correctness and memory gates are hardware-independent.
-HARDWARE_LIMITED = not NUMBA_AVAILABLE or (os.cpu_count() or 1) <= 1
+HARDWARE_LIMITED = (os.cpu_count() or 1) <= 1
 
 #: name -> store/load spec.  ``mmap_100k`` gets its own wide store; the
 #: three 25k cases share one.
@@ -409,8 +408,8 @@ def test_cached_throughput_gate():
     assert result["cache_hit_rate"] >= floor - 1e-3
     if not SMOKE:
         assert result["cache_hit_rate"] > 0.9
-        # ≥ 1000 req/s on real hardware; recorded-but-waived on this
-        # single-core, numba-less container (hardware_limited is honest).
+        # ≥ 1000 req/s on real hardware; recorded-but-waived on a
+        # single core (hardware_limited is honest).
         assert result["rps"] >= 1000 or HARDWARE_LIMITED
 
 
@@ -458,7 +457,6 @@ def test_write_results():
         "smoke": SMOKE,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "numba_available": NUMBA_AVAILABLE,
         "cpu_count": os.cpu_count() or 1,
         "hardware_limited": HARDWARE_LIMITED,
         "cases": [_RESULTS[name] for name in CASES],

@@ -46,11 +46,6 @@ merging, so any command's output is identical at any worker count.
 variable, else float64) selects the numeric precision of the training
 path for every model the command builds.
 
-``--backend {numpy,compiled}`` (default: the ``REPRO_BACKEND``
-environment variable, else numpy) selects the kernel backend the
-training hot loops dispatch to; either choice produces bit-identical
-embeddings, so it only changes speed.
-
 ``--train-mode {full,sampled}`` (default: the ``REPRO_TRAIN_MODE``
 environment variable, else full) selects the training regime for every
 AnECI fit the command performs: ``full`` is the historical full-batch
@@ -98,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="numeric precision of the training path "
                              "(default: $REPRO_DTYPE, else float64)")
-    parser.add_argument("--backend", choices=["numpy", "compiled"],
-                        default=None,
-                        help="kernel backend for the training hot loops "
-                             "(default: $REPRO_BACKEND, else numpy; "
-                             "results are bit-identical either way)")
     parser.add_argument("--train-mode", choices=["full", "sampled"],
                         default=None,
                         help="training regime for AnECI fits (default: "
@@ -448,14 +438,14 @@ def cmd_profile(args) -> int:
     total is the profiled share of the traced ``fit`` span (reported as
     coverage so regressions in un-profiled code stand out).
     """
-    from .nn import backend as kernel_backend
+    from .nn import backend as kernels
     from .obs import metrics, profile as op_profile, trace
     from .parallel import resolve_workers
     graph = _load(args)
     method = _build_method(args.method, graph, args.epochs, args.seed)
     workers = resolve_workers()
     tracer = trace.Tracer()
-    kernel_backend.reset_op_counts()
+    kernels.reset_op_counts()
     registry = metrics.registry()
     sample_counters = ("aneci.epochs", "sample.nodes", "sample.edges",
                        "sample.negatives", "workspace.dense_skipped")
@@ -470,8 +460,7 @@ def cmd_profile(args) -> int:
     fit_s = fit_node.total_s if fit_node is not None else tracer.total_seconds()
     op_s = prof.total_seconds()
     coverage = op_s / fit_s if fit_s else 0.0
-    spec = getattr(getattr(method, "config", None), "backend", None)
-    backend = kernel_backend.backend_info(kernel_backend.resolve_backend(spec))
+    kernel_ops = kernels.op_counts()
     train_mode = getattr(getattr(method, "config", None), "train_mode",
                          "full")
     epochs_run = max(deltas["aneci.epochs"], 1)
@@ -489,7 +478,7 @@ def cmd_profile(args) -> int:
         print(json.dumps({"command": "profile", "method": args.method,
                           "dataset": args.dataset, "scale": args.scale,
                           "epochs": args.epochs, "workers": workers,
-                          "backend": backend, "sampling": sampling,
+                          "kernel_ops": kernel_ops, "sampling": sampling,
                           "profile": prof.to_dict(),
                           "spans": tracer.to_dict(),
                           "fit_s": fit_s, "op_coverage": coverage}))
@@ -500,14 +489,9 @@ def cmd_profile(args) -> int:
     print(prof.report(top=args.top))
     print(f"\ntraced wall time: {fit_s:.4f}s   "
           f"op coverage: {100.0 * coverage:.1f}%\n")
-    dispatched = {op: c for op, c in backend["ops"].items()
-                  if c["fused"] or c["numpy"]}
-    dispatch = "  ".join(
-        f"{op}={c['fused']}f/{c['numpy']}n"
-        for op, c in sorted(dispatched.items())) or "none"
-    print(f"kernel backend: {backend['backend']} "
-          f"(numba {'available' if backend['numba_available'] else 'absent'})"
-          f"   dispatch (fused/numpy): {dispatch}")
+    calls = "  ".join(f"{op}={c['numpy']}"
+                      for op, c in kernel_ops.items()) or "none"
+    print(f"kernel ops (calls): {calls}")
     if train_mode == "sampled":
         print(f"train mode: sampled   per-epoch samples: "
               f"{sampling['nodes_per_epoch']:.0f} nodes, "
@@ -823,11 +807,6 @@ def main(argv: list[str] | None = None) -> int:
         # (including in worker processes) reads REPRO_DTYPE as its
         # default precision.
         os.environ["REPRO_DTYPE"] = args.dtype
-    if args.backend is not None:
-        # Same pattern again: every AnECIConfig built downstream reads
-        # REPRO_BACKEND as its default kernel backend; bit-identical by
-        # contract, so this only changes speed.
-        os.environ["REPRO_BACKEND"] = args.backend
     if args.train_mode is not None:
         # Same pattern: every AnECIConfig built downstream (including in
         # worker processes) reads REPRO_TRAIN_MODE as its default

@@ -18,8 +18,7 @@ import scipy.sparse as sp
 
 from ..graph.graph import Graph, normalized_adjacency
 from ..nn import Adam, Tensor, functional as F, no_grad
-from ..nn.backend import use_backend
-from ..nn.backend import active as _active_backend
+from ..nn import backend as kernels
 from ..obs import events, metrics, store, trace
 from ..resilience import faultinject
 from ..resilience.checkpoint import (CheckpointManager, config_fingerprint,
@@ -268,10 +267,7 @@ class AnECI:
     def _fit_once(self, graph: Graph, callback, seed: int,
                   restart: int = 0, manager=None, resume=None,
                   fit_ctx=None) -> "AnECI":
-        # The kernel backend is resolved exactly once per fit; every
-        # dispatched op below (spmm, fused layers/loss, softmax,
-        # optimiser steps, node sampling) routes through it.
-        with trace.span("fit"), use_backend(self.config.backend):
+        with trace.span("fit"):
             return self._fit_once_traced(graph, callback, seed, restart,
                                          manager, resume, fit_ctx)
 
@@ -618,7 +614,7 @@ class AnECI:
         adj_norm = self._inference_adj_norm(graph)
         dtype = np.dtype(self.config.dtype)
         self.encoder.eval()
-        with no_grad(), use_backend(self.config.backend):
+        with no_grad():
             z = self.encoder(
                 Tensor(np.asarray(graph.features, dtype=dtype)), adj_norm)
         return z.data.copy()
@@ -719,9 +715,9 @@ def _minibatch_forward(encoder, features: Tensor, workspace: FitWorkspace,
     exact and the result is bit-identical to
     ``encoder(features, adj_norm)[idx]``.
 
-    The neighbour draws come from the fit's single RNG *before* kernel
-    dispatch, so the sample stream — and hence the whole trajectory — is
-    bit-identical across backends, dtypes and worker counts.
+    The neighbour draws come from the fit's single RNG, so the sample
+    stream — and hence the whole trajectory — is bit-identical across
+    dtypes and worker counts.
     """
     sampler = workspace.neighbor_sampler(fanout)
     num_layers = len(encoder.convs)
@@ -772,14 +768,13 @@ def _sampled_reconstruction(dec: Tensor, block: sp.csr_matrix,
     s = block.shape[0]
     total = s * s
     nnz = int(block.nnz)
-    backend = _active_backend()
     dtype = dec.data.dtype
     terms = []
     num_pos = num_neg = 0
     if nnz:
         num_pos = int(edge_samples)
         entry_ids = np.asarray(
-            backend.sample_pairs(rng, nnz, num_pos), dtype=np.int64)
+            kernels.sample_pairs(rng, nnz, num_pos), dtype=np.int64)
         rows = np.searchsorted(block.indptr, entry_ids, side="right") - 1
         cols = block.indices[entry_ids].astype(np.int64, copy=False)
         targets = block.data[entry_ids].astype(dtype, copy=False)
@@ -798,7 +793,7 @@ def _sampled_reconstruction(dec: Tensor, block: sp.csr_matrix,
         kept_total = 0
         while kept_total < num_neg:
             cand = np.asarray(
-                backend.sample_pairs(rng, total, num_neg), dtype=np.int64)
+                kernels.sample_pairs(rng, total, num_neg), dtype=np.int64)
             slot = np.searchsorted(entry_codes, cand)
             stored = np.zeros(cand.size, dtype=bool)
             inside = slot < entry_codes.size

@@ -70,14 +70,6 @@ class AnECIConfig:
         ``"float32"`` (half the memory bandwidth, faster on large
         graphs, metric parity within small tolerances).  The default is
         taken from the ``REPRO_DTYPE`` environment variable when set.
-    backend:
-        Kernel backend the fit's hot loops dispatch to: ``"numpy"`` (the
-        reference) or ``"compiled"`` (numba-parallel kernels where
-        importable, probed bit-identical, per-op numpy fallback
-        otherwise).  Any value produces bit-identical embeddings; the
-        choice affects speed only, so it is *not* part of the fit
-        fingerprint or checkpoint run key.  Default from the
-        ``REPRO_BACKEND`` environment variable when set.
     divergence_policy:
         What to do when an epoch produces a non-finite loss or gradient:
         ``"recover"`` (restore the last good state, back off the
@@ -144,8 +136,6 @@ class AnECIConfig:
     katz_beta: float = 0.2
     dtype: str = field(
         default_factory=lambda: os.environ.get("REPRO_DTYPE", "float64"))
-    backend: str = field(
-        default_factory=lambda: os.environ.get("REPRO_BACKEND") or "numpy")
     divergence_policy: str = field(
         default_factory=lambda: os.environ.get("REPRO_DIVERGENCE_POLICY",
                                                "recover"))
@@ -194,12 +184,6 @@ class AnECIConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
-        from ..nn import backend as _kernel_backend
-        if self.backend not in _kernel_backend.known_backends():
-            raise ValueError(
-                f"backend must be one of "
-                f"{', '.join(_kernel_backend.known_backends())}; "
-                f"got {self.backend!r}")
         if self.divergence_policy not in ("recover", "raise", "off"):
             raise ValueError("divergence_policy must be 'recover', 'raise' "
                              "or 'off'")

@@ -32,8 +32,8 @@ import scipy.sparse as sp
 from ..graph.graph import Graph, normalized_adjacency
 from ..graph.proximity import high_order_proximity, katz_proximity
 from ..nn.autograd import cached_transpose
-from ..nn.backend import NeighborSampler, NodeSampler
-from ..nn.backend import active as _active_backend
+from ..nn import backend as kernels
+from ..nn.backend import NeighborSampler
 from ..obs import events, metrics, trace
 from .config import AnECIConfig
 from .modularity import modularity_loss_terms
@@ -133,13 +133,9 @@ class FitWorkspace:
     recon_dense: np.ndarray | None
     dtype: np.dtype = np.dtype(np.float64)
     lazy_dense: bool = False
-    #: Lazily built preallocated-buffer sampler for the sampled
-    #: reconstruction path (see :class:`repro.nn.backend.NodeSampler`).
-    sampler: NodeSampler | None = None
 
     def __post_init__(self):
         self._prox_diag: np.ndarray | None = None
-        self._batch_samplers: dict[int, NodeSampler] = {}
         self._neighbor_samplers: dict[int, NeighborSampler] = {}
 
     def prox_diagonal(self) -> np.ndarray:
@@ -152,19 +148,15 @@ class FitWorkspace:
     def batch_indices(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """Sorted without-replacement node batch of size ``k``.
 
-        Drawn through the same backend-dispatched
-        :class:`~repro.nn.backend.NodeSampler` machinery as
+        Drawn with ``rng.choice(n, k, replace=False)`` like
         :meth:`sample_indices`, so the sampled-mode batch stream is
-        bit-identical across backends, dtypes and worker counts.
-        Returns ``arange(n)`` (consuming no randomness) when ``k`` covers
-        the whole graph.
+        bit-identical across dtypes and worker counts.  Returns
+        ``arange(n)`` (consuming no randomness) when ``k`` covers the
+        whole graph.
         """
         if k >= self.num_nodes:
             return np.arange(self.num_nodes, dtype=np.int64)
-        sampler = self._batch_samplers.get(k)
-        if sampler is None:
-            sampler = self._batch_samplers[k] = NodeSampler(self.num_nodes, k)
-        idx = _active_backend().sample_without_replacement(sampler, rng)
+        idx = kernels.sample_without_replacement(rng, self.num_nodes, k)
         return np.sort(np.asarray(idx, dtype=np.int64))
 
     def neighbor_sampler(self, fanout: int) -> NeighborSampler:
@@ -203,20 +195,13 @@ class FitWorkspace:
     def sample_indices(self, rng: np.random.Generator) -> np.ndarray:
         """Per-epoch node sample for the sampled reconstruction path.
 
-        Dispatches through the active kernel backend: the numpy backend
-        calls ``rng.choice(n, size=k, replace=False)`` exactly as the
-        training loop always has; the compiled backend consumes the
-        identical bit-stream through the workspace's preallocated
-        :class:`~repro.nn.backend.NodeSampler` buffers (self-verified,
-        falling back to ``rng.choice`` on any mismatch).  Either way the
-        index stream — and the generator state after it — is
-        bit-identical.
+        Calls ``rng.choice(n, size=k, replace=False)`` exactly as the
+        training loop always has.
         """
         if self.sample_nodes is None:
             raise RuntimeError("workspace has no sampled path")
-        if self.sampler is None:
-            self.sampler = NodeSampler(self.num_nodes, self.sample_nodes)
-        return _active_backend().sample_without_replacement(self.sampler, rng)
+        return kernels.sample_without_replacement(rng, self.num_nodes,
+                                                  self.sample_nodes)
 
 
 def build_workspace(graph: Graph, config: AnECIConfig,

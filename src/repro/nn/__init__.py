@@ -15,12 +15,10 @@ optimiser state follows each parameter's dtype.  Model-level selection
 threads through ``AnECIConfig.dtype`` / the ``REPRO_DTYPE`` environment
 variable / the CLI's global ``--dtype`` flag.
 
-**Backends.**  Every hot-loop kernel (sparse products, the fused GCN
-layer and BCE loss, softmax, optimiser steps) dispatches through
-:mod:`repro.nn.backend`: ``numpy`` is the bit-exact reference, and
-``compiled`` swaps in numba-parallel kernels — probed byte-identical at
-first use, falling back per-op to the reference — selected via
-``AnECIConfig.backend`` / ``REPRO_BACKEND`` / the CLI ``--backend`` flag.
+**Kernels.**  Every hot-loop kernel (sparse products, the fused GCN
+layer and BCE loss, softmax, optimiser steps, per-epoch sampling) is one
+plain numpy function in :mod:`repro.nn.backend`, which counts its calls
+per op for ``repro profile``.
 """
 
 from . import backend, functional, init

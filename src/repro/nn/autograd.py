@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import active as _active_backend, stable_softmax
+from . import backend as kernels
+from .backend import stable_softmax
 
 __all__ = ["Tensor", "tensor", "no_grad", "is_grad_enabled", "spmm",
            "fused_bce_with_logits", "fused_gcn_layer", "cached_transpose",
@@ -533,11 +534,10 @@ class Tensor:
         return Tensor._make(self.data * scale, (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        backend = _active_backend()
-        value = backend.softmax(self.data, axis=axis)
+        value = kernels.softmax(self.data, axis=axis)
 
         def backward(g):
-            self._accumulate(backend.softmax_backward(g, value, axis=axis),
+            self._accumulate(kernels.softmax_backward(g, value, axis=axis),
                              owned=True)
 
         return Tensor._make(value, (self,), backward)
@@ -699,12 +699,10 @@ def spmm(matrix: sp.spmatrix, x: Tensor,
         else:
             transpose = matrix.T.tocsr()
 
-    backend = _active_backend()
-
     def backward(g):
-        x._accumulate(backend.spmm_backward(transpose, g), owned=True)
+        x._accumulate(kernels.spmm(transpose, g), owned=True)
 
-    return Tensor._make(backend.spmm_forward(matrix, x.data), (x,), backward)
+    return Tensor._make(kernels.spmm(matrix, x.data), (x,), backward)
 
 
 def fused_gcn_layer(x: Tensor, weight: Tensor, matrix: sp.spmatrix,
@@ -716,10 +714,9 @@ def fused_gcn_layer(x: Tensor, weight: Tensor, matrix: sp.spmatrix,
     Evaluates exactly the expressions of the composed
     ``spmm(matrix, x @ W) + b`` / ``.leaky_relu(slope)`` chain (same
     association orders, so values and gradients are bit-identical) but
-    records one graph node instead of up to four, and lets the active
-    backend fuse the sparse product with the activation epilogue.  The
-    dense GEMMs stay on BLAS: the backend only owns the sparse product
-    and the elementwise epilogue.
+    records one graph node instead of up to four.  The dense GEMMs stay
+    here; :func:`repro.nn.backend.gcn_layer_forward` owns the sparse
+    product and the elementwise epilogue.
     """
     if not sp.issparse(matrix):
         raise TypeError("fused_gcn_layer expects a scipy sparse matrix")
@@ -730,15 +727,14 @@ def fused_gcn_layer(x: Tensor, weight: Tensor, matrix: sp.spmatrix,
         transpose = cached_transpose(matrix)
     else:
         transpose = matrix.T.tocsr()
-    backend = _active_backend()
     support = x.data @ weight.data
-    value, scale = backend.gcn_layer_forward(
+    value, scale = kernels.gcn_layer_forward(
         matrix, support, None if bias is None else bias.data, negative_slope)
     parents = (x, weight) if bias is None else (x, weight, bias)
     x_data, w_data = x.data, weight.data
 
     def backward(g):
-        gsupport, gpre = backend.gcn_layer_backward(transpose, g, scale)
+        gsupport, gpre = kernels.gcn_layer_backward(transpose, g, scale)
         if bias is not None:
             bias._accumulate(gpre)
         if x.requires_grad:
@@ -774,11 +770,10 @@ def fused_bce_with_logits(logits: Tensor, target: np.ndarray | Tensor,
         weights = np.asarray(weights, dtype=x.dtype)
     if reduction not in ("none", "sum", "mean"):
         raise ValueError(f"unknown reduction: {reduction!r}")
-    backend = _active_backend()
-    value, ctx = backend.bce_with_logits_forward(x, t, weights, reduction)
+    value, ctx = kernels.bce_with_logits_forward(x, t, weights, reduction)
 
     def backward(g):
-        grad = backend.bce_with_logits_backward(g, x, t, weights, ctx)
+        grad = kernels.bce_with_logits_backward(g, x, t, weights, ctx)
         logits._accumulate(grad, owned=True)
 
     return Tensor._make(value, (logits,), backward)

@@ -1,97 +1,93 @@
-"""Pluggable kernel backends for the autograd engine's hot loops.
+"""Kernel dispatch for the autograd engine's hot loops.
 
 Every per-epoch kernel of an AnECI fit — the sparse-times-dense products
 of the graph convolutions, the fused GCN layer (normalised adjacency ×
 dense + bias + LeakyReLU in one pass), the fused BCE-with-logits loss,
-the softmax, and the optimiser update steps — dispatches through the
-*active backend* selected here.  Two backends are registered:
+the softmax, the optimiser update steps and the per-epoch samplers —
+runs through one plain function here, as do the serving index's GEMM
+and top-k.  Each function counts its op and evaluates the engine's
+historical numpy expression, association order included; these
+expressions are the bit-exactness anchor pinned by the digests in
+``tests/test_backend.py`` and must not be "simplified".
 
-``numpy``
-    The reference implementation: exactly the expressions the engine has
-    always evaluated, moved behind the dispatch interface.  This is the
-    default and the bit-exactness anchor.
+:func:`op_counts` reports the per-op call counts for ``repro profile``
+and the benchmark's ``backend.ops_per_epoch``.
 
-``compiled``
-    Numba ``@njit(parallel=True)`` kernels when numba is importable,
-    falling back per-op to the numpy reference otherwise.  Each compiled
-    kernel is **probed at first use** against the numpy reference on a
-    mixed-magnitude sweep over both supported dtypes; any kernel whose
-    output is not byte-identical is permanently disabled for the
-    process, so the hard contract — *any backend produces bit-identical
-    results* — holds even if a numba/libm version ever disagrees with
-    numpy's rounding.
-
-Selection: ``AnECIConfig.backend`` / the ``REPRO_BACKEND`` environment
-variable / the global CLI ``--backend`` flag, resolved once per fit via
-:func:`use_backend`.  Per-op fused-hit vs numpy-fallback counters are
-kept for ``repro profile`` (:func:`op_counts`, :func:`backend_info`).
-
-The module also hosts :class:`NodeSampler`, a preallocated-buffer
-replication of ``Generator.choice(n, size=k, replace=False)`` used by
-the sampled reconstruction loss: it consumes the *identical* bit-stream
-from the generator (verified against a cloned generator on first use,
-with a permanent fallback to ``rng.choice`` on any mismatch), so the
-sampled index stream — and therefore every downstream embedding — is
-unchanged.
+The module also hosts :class:`NeighborSampler`, the fanout-bounded
+neighbor sampler of the sampled training mode's minibatch GCN forward.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-
 import numpy as np
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-    from numba import njit as _njit, prange as _prange
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    _numba = None
-    NUMBA_AVAILABLE = False
+__all__ = ["NeighborSampler", "stable_softmax", "spmm", "gcn_layer_forward",
+           "gcn_layer_backward", "bce_with_logits_forward",
+           "bce_with_logits_backward", "softmax", "softmax_backward",
+           "adam_step", "sgd_step", "sample_without_replacement",
+           "sample_pairs", "neighbor_gather", "matmul", "topk_indices",
+           "op_counts", "reset_op_counts"]
 
-    def _njit(*args, **kwargs):  # keep decorator syntax importable
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
 
-    _prange = range
+# --------------------------------------------------------------------- #
+# Dispatch counters                                                      #
+# --------------------------------------------------------------------- #
 
-__all__ = ["KernelBackend", "CompiledBackend", "NodeSampler",
-           "NeighborSampler", "NUMBA_AVAILABLE", "stable_softmax",
-           "register_backend", "known_backends", "resolve_backend", "active",
-           "set_backend", "use_backend", "op_counts", "reset_op_counts",
-           "backend_info"]
+#: op name -> calls since the last reset.
+_OP_COUNTS: dict[str, int] = {}
 
-_SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
+def _record(op: str) -> None:
+    _OP_COUNTS[op] = _OP_COUNTS.get(op, 0) + 1
+
+
+def op_counts() -> dict[str, dict[str, int]]:
+    """Per-op call counts since the last :func:`reset_op_counts`.
+
+    Shaped ``{op: {"fused": 0, "numpy": calls}}``: every op runs the
+    numpy expression, so ``fused`` is always 0.  The shape is kept so
+    readers that sum both fields keep working.
+    """
+    return {op: {"fused": 0, "numpy": n}
+            for op, n in sorted(_OP_COUNTS.items())}
+
+
+def reset_op_counts() -> None:
+    """Zero every op counter."""
+    _OP_COUNTS.clear()
+
+
+# --------------------------------------------------------------------- #
+# Training kernels                                                       #
+# --------------------------------------------------------------------- #
 
 def stable_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax of a plain numpy array, preserving its dtype.
 
     The single softmax implementation shared by ``Tensor.softmax`` (the
-    differentiable path, through the backend dispatch) and numpy-side
+    differentiable path, through :func:`softmax`) and numpy-side
     consumers such as ``AnECI.membership`` — both see bit-identical
-    values.
+    values.  Not counted; :func:`softmax` is the counted entry point.
     """
     shifted = values - values.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-# --------------------------------------------------------------------- #
-# numpy reference kernels                                                #
-# --------------------------------------------------------------------- #
-# Module-level so probes and tests can call them directly (bypassing the
-# dispatch counters).  These are the engine's historical expressions —
-# association order included — and must not be "simplified".
-
-def _np_spmm(matrix, x: np.ndarray) -> np.ndarray:
+def spmm(matrix, x: np.ndarray) -> np.ndarray:
+    """Sparse × dense product (forward, or backward with ``matrix.T``)."""
+    _record("spmm")
     return matrix @ x
 
 
-def _np_gcn_forward(matrix, support: np.ndarray, bias: np.ndarray | None,
-                    negative_slope: float | None):
+def gcn_layer_forward(matrix, support: np.ndarray, bias: np.ndarray | None,
+                      negative_slope: float | None):
+    """``matrix @ support (+ bias)`` with an optional LeakyReLU epilogue.
+
+    Returns ``(value, scale)``; ``scale`` is the per-entry activation
+    slope the backward pass multiplies by (``None`` without activation).
+    """
+    _record("gcn_layer")
     out = matrix @ support
     if bias is not None:
         out = out + bias
@@ -102,13 +98,17 @@ def _np_gcn_forward(matrix, support: np.ndarray, bias: np.ndarray | None,
     return out * scale, scale
 
 
-def _np_gcn_backward(transpose, g: np.ndarray, scale: np.ndarray | None):
+def gcn_layer_backward(transpose, g: np.ndarray, scale: np.ndarray | None):
+    """Returns ``(grad w.r.t. support, grad w.r.t. the pre-activation)``."""
+    _record("gcn_layer")
     gpre = g * scale if scale is not None else g
     return transpose @ gpre, gpre
 
 
-def _np_bce_forward(x: np.ndarray, t: np.ndarray,
-                    weights: np.ndarray | None, reduction: str):
+def bce_with_logits_forward(x: np.ndarray, t: np.ndarray,
+                            weights: np.ndarray | None, reduction: str):
+    """Numerically stable BCE on logits; returns ``(value, ctx)``."""
+    _record("bce")
     mask = x > 0
     exp_neg_abs = np.exp(-np.abs(x))
     denom = exp_neg_abs + 1.0
@@ -129,8 +129,10 @@ def _np_bce_forward(x: np.ndarray, t: np.ndarray,
     return value, (mask, exp_neg_abs, denom, scale)
 
 
-def _np_bce_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray,
-                     weights: np.ndarray | None, ctx) -> np.ndarray:
+def bce_with_logits_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray,
+                             weights: np.ndarray | None, ctx) -> np.ndarray:
+    """Gradient w.r.t. the logits, from the forward pass's ``ctx``."""
+    _record("bce")
     mask, exp_neg_abs, denom, scale = ctx
     if scale is None:
         upstream = g
@@ -145,16 +147,26 @@ def _np_bce_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray,
     return grad
 
 
-def _np_softmax_backward(g: np.ndarray, value: np.ndarray,
-                         axis: int) -> np.ndarray:
+def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Counted :func:`stable_softmax`."""
+    _record("softmax")
+    return stable_softmax(values, axis=axis)
+
+
+def softmax_backward(g: np.ndarray, value: np.ndarray,
+                     axis: int = -1) -> np.ndarray:
+    """Vector-Jacobian product of the softmax at output ``value``."""
+    _record("softmax")
     dot = (g * value).sum(axis=axis, keepdims=True)
     return value * (g - dot)
 
 
-def _np_adam_step(p: np.ndarray, grad: np.ndarray, m: np.ndarray,
-                  v: np.ndarray, t: np.ndarray, u: np.ndarray, lr: float,
-                  beta1: float, beta2: float, eps: float,
-                  bias1: float, bias2: float) -> None:
+def adam_step(p: np.ndarray, grad: np.ndarray, m: np.ndarray,
+              v: np.ndarray, t: np.ndarray, u: np.ndarray, lr: float,
+              beta1: float, beta2: float, eps: float,
+              bias1: float, bias2: float) -> None:
+    """In-place Adam update of ``p``; ``t``/``u`` are scratch buffers."""
+    _record("adam")
     m *= beta1
     np.multiply(grad, 1.0 - beta1, out=t)
     m += t
@@ -171,9 +183,11 @@ def _np_adam_step(p: np.ndarray, grad: np.ndarray, m: np.ndarray,
     p -= t
 
 
-def _np_sgd_step(p: np.ndarray, grad: np.ndarray,
-                 velocity: np.ndarray | None, buf: np.ndarray,
-                 lr: float, momentum: float) -> None:
+def sgd_step(p: np.ndarray, grad: np.ndarray,
+             velocity: np.ndarray | None, buf: np.ndarray,
+             lr: float, momentum: float) -> None:
+    """In-place SGD (optionally momentum) update; ``buf`` is scratch."""
+    _record("sgd")
     if momentum:
         velocity *= momentum
         velocity += grad
@@ -182,26 +196,62 @@ def _np_sgd_step(p: np.ndarray, grad: np.ndarray,
     p -= buf
 
 
-def _np_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense blocked-GEMM reference used by the serving index.
+def sample_without_replacement(rng: np.random.Generator, n: int,
+                               k: int) -> np.ndarray:
+    """``k`` distinct node ids out of ``n``: ``rng.choice`` unchanged."""
+    _record("sample")
+    return rng.choice(n, size=k, replace=False)
 
-    ``a @ b`` delegates straight to BLAS — already the fastest kernel on
-    this box — but routing it through the dispatch makes the serving
-    layer's per-query matmul volume observable in the op counters, same
-    as the training kernels.
+
+def sample_pairs(rng: np.random.Generator, high: int, size) -> np.ndarray:
+    """Uniform integer draws for edge/negative pair sampling."""
+    _record("pairs")
+    return rng.integers(0, high, size=size)
+
+
+def neighbor_gather(starts: np.ndarray, kept: np.ndarray,
+                    out_ptr: np.ndarray, over_mask: np.ndarray,
+                    draws: np.ndarray) -> np.ndarray:
+    """CSR storage positions of the entries one sampling layer keeps.
+
+    Rows at or under the fanout keep every stored entry in order;
+    oversized rows keep the pre-drawn (with-replacement) local offsets
+    in ``draws``.  Returns an int64 array of positions into the graph's
+    ``indices``/``data`` arrays, row segments concatenated in seed order.
     """
+    _record("neighbor")
+    total = int(out_ptr[-1])
+    local = np.arange(total, dtype=np.int64)
+    local -= np.repeat(out_ptr[:-1], kept)
+    if draws.size:
+        local[np.repeat(over_mask, kept)] = draws
+    return np.repeat(starts, kept) + local
+
+
+# --------------------------------------------------------------------- #
+# Serving kernels                                                        #
+# --------------------------------------------------------------------- #
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense GEMM for the serving index's similarity scoring.
+
+    ``a @ b`` goes straight to BLAS; counting it makes the serving
+    layer's per-query matmul volume observable next to the training ops.
+    """
+    _record("gemm")
     return a @ b
 
 
-def _np_topk(scores: np.ndarray, k: int) -> np.ndarray:
+def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest entries along the last axis.
 
     ``argpartition`` (introselect, O(n)) narrows to ``k`` candidates,
     which are then ordered by ``(-score, index)`` — descending score
     with ties broken toward the *lower* index — so the result is fully
-    deterministic: serial and batched queries, and any two backends,
-    rank equal scores identically.
+    deterministic: serial and batched queries rank equal scores
+    identically.
     """
+    _record("topk")
     scores = np.asarray(scores)
     single = scores.ndim == 1
     s = scores.reshape(1, -1) if single else scores
@@ -223,914 +273,9 @@ def _np_topk(scores: np.ndarray, k: int) -> np.ndarray:
     return out[0] if single else out
 
 
-def _pairwise_sum(a: np.ndarray, start: int, n: int, zero):
-    """Python replication of numpy's pairwise summation (test reference).
-
-    Bitwise-identical to ``np.sum`` over a contiguous 1-D slice for both
-    float dtypes; the numba kernels use the same recursion so their row
-    reductions round exactly like numpy's.
-    """
-    if n < 8:
-        s = zero
-        for i in range(n):
-            s = s + a[start + i]
-        return s
-    if n <= 128:
-        r0 = a[start]
-        r1 = a[start + 1]
-        r2 = a[start + 2]
-        r3 = a[start + 3]
-        r4 = a[start + 4]
-        r5 = a[start + 5]
-        r6 = a[start + 6]
-        r7 = a[start + 7]
-        i = 8
-        while i < n - (n % 8):
-            r0 = r0 + a[start + i]
-            r1 = r1 + a[start + i + 1]
-            r2 = r2 + a[start + i + 2]
-            r3 = r3 + a[start + i + 3]
-            r4 = r4 + a[start + i + 4]
-            r5 = r5 + a[start + i + 5]
-            r6 = r6 + a[start + i + 6]
-            r7 = r7 + a[start + i + 7]
-            i += 8
-        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        while i < n:
-            s = s + a[start + i]
-            i += 1
-        return s
-    n2 = n // 2
-    n2 -= n2 % 8
-    return (_pairwise_sum(a, start, n2, zero)
-            + _pairwise_sum(a, start + n2, n - n2, zero))
-
-
 # --------------------------------------------------------------------- #
-# Sampling-without-replacement apply kernels (integer only)              #
+# Neighbor sampling                                                      #
 # --------------------------------------------------------------------- #
-
-def _floyd_apply_py(draws, fy_draws, out, mask, n, k):
-    """Floyd selection + Fisher-Yates shuffle from pre-drawn bounded ints.
-
-    ``draws[i]`` was drawn in ``[0, n-k+i]``; ``fy_draws[t]`` in
-    ``[0, k-1-t]``.  ``mask`` is an all-False scratch of size ``n`` and
-    is restored before returning.
-    """
-    base = n - k
-    for i in range(k):
-        j = int(draws[i])
-        if mask[j]:
-            j = base + i
-        mask[j] = True
-        out[i] = j
-    for t in range(fy_draws.shape[0]):
-        i = k - 1 - t
-        j = int(fy_draws[t])
-        tmp = out[i]
-        out[i] = out[j]
-        out[j] = tmp
-    for i in range(k):
-        mask[out[i]] = False
-
-
-def _np_nbr_apply(starts, degs, kept, out_ptr, over_mask, draws,
-                  fanout) -> np.ndarray:
-    """Numpy reference of the neighbor-gather kernel.
-
-    Maps one sampling *plan* (see :meth:`NeighborSampler.plan`) to the
-    CSR storage positions of the kept entries: rows at or under the
-    fanout keep every stored entry in order; oversized rows keep the
-    ``fanout`` pre-drawn (with-replacement) local offsets in ``draws``.
-    Returns an int64 array of positions into the graph's
-    ``indices``/``data`` arrays, row segments concatenated in seed order.
-    """
-    total = int(out_ptr[-1])
-    local = np.arange(total, dtype=np.int64)
-    local -= np.repeat(out_ptr[:-1], kept)
-    if draws.size:
-        local[np.repeat(over_mask, kept)] = draws
-    return np.repeat(starts, kept) + local
-
-
-def _nbr_apply_py(starts, degs, kept, out_ptr, over_mask, draws, fanout,
-                  out) -> None:
-    """Loop form of :func:`_np_nbr_apply` (the numba twin's source)."""
-    d = 0
-    for r in range(starts.shape[0]):
-        base = out_ptr[r]
-        if over_mask[r]:
-            for t in range(fanout):
-                out[base + t] = starts[r] + draws[d]
-                d += 1
-        else:
-            for t in range(kept[r]):
-                out[base + t] = starts[r] + t
-
-
-def _tail_apply_py(draws, perm, out, n, k, first):
-    """Partial Fisher-Yates on an identity permutation, tail slice result.
-
-    ``perm`` must be ``arange(n)`` on entry and is restored (swaps undone
-    in reverse) before returning, so the buffer is reusable.
-    """
-    m = draws.shape[0]
-    for t in range(m):
-        i = n - 1 - t
-        j = int(draws[t])
-        tmp = perm[i]
-        perm[i] = perm[j]
-        perm[j] = tmp
-    for i in range(k):
-        out[i] = perm[n - k + i]
-    for t in range(m - 1, -1, -1):
-        i = n - 1 - t
-        j = int(draws[t])
-        tmp = perm[i]
-        perm[i] = perm[j]
-        perm[j] = tmp
-
-
-# --------------------------------------------------------------------- #
-# numba kernels (compiled lazily; every one is probed before first use)  #
-# --------------------------------------------------------------------- #
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only on numba hosts
-
-    @_njit(cache=True)
-    def _nb_pairwise(a, start, n, zero):
-        # Self-recursive copy of numpy's pairwise_sum (see _pairwise_sum).
-        if n < 8:
-            s = zero
-            for i in range(n):
-                s = s + a[start + i]
-            return s
-        if n <= 128:
-            r0 = a[start]
-            r1 = a[start + 1]
-            r2 = a[start + 2]
-            r3 = a[start + 3]
-            r4 = a[start + 4]
-            r5 = a[start + 5]
-            r6 = a[start + 6]
-            r7 = a[start + 7]
-            i = 8
-            while i < n - (n % 8):
-                r0 = r0 + a[start + i]
-                r1 = r1 + a[start + i + 1]
-                r2 = r2 + a[start + i + 2]
-                r3 = r3 + a[start + i + 3]
-                r4 = r4 + a[start + i + 4]
-                r5 = r5 + a[start + i + 5]
-                r6 = r6 + a[start + i + 6]
-                r7 = r7 + a[start + i + 7]
-                i += 8
-            s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-            while i < n:
-                s = s + a[start + i]
-                i += 1
-            return s
-        n2 = n // 2
-        n2 -= n2 % 8
-        return (_nb_pairwise(a, start, n2, zero)
-                + _nb_pairwise(a, start + n2, n - n2, zero))
-
-    @_njit(parallel=True, cache=True)
-    def _nb_spmm(indptr, indices, data, x, out, zero):
-        # CSR @ dense with scipy's accumulation order: per output element,
-        # add data[jj] * x[col, c] in stored order starting from zero.
-        ncols = x.shape[1]
-        for r in _prange(out.shape[0]):
-            row_start = indptr[r]
-            row_end = indptr[r + 1]
-            for c in range(ncols):
-                s = zero
-                for jj in range(row_start, row_end):
-                    s += data[jj] * x[indices[jj], c]
-                out[r, c] = s
-
-    @_njit(parallel=True, cache=True)
-    def _nb_gcn(indptr, indices, data, x, out, scale, zero, one, slope,
-                has_act):
-        # Fused adjacency @ support + LeakyReLU epilogue (bias-free path;
-        # layers with a bias fall back to the numpy reference).
-        ncols = x.shape[1]
-        for r in _prange(out.shape[0]):
-            row_start = indptr[r]
-            row_end = indptr[r + 1]
-            for c in range(ncols):
-                s = zero
-                for jj in range(row_start, row_end):
-                    s += data[jj] * x[indices[jj], c]
-                if has_act:
-                    sc = one if s > 0 else slope
-                    scale[r, c] = sc
-                    out[r, c] = s * sc
-                else:
-                    out[r, c] = s
-
-    @_njit(parallel=True, cache=True)
-    def _nb_bce_fwd(x, t, mask, exp_neg_abs, denom, elementwise, zero, one):
-        for i in _prange(x.shape[0]):
-            xi = x[i]
-            mi = xi > 0
-            mask[i] = mi
-            e = np.exp(-abs(xi))
-            exp_neg_abs[i] = e
-            d = e + one
-            denom[i] = d
-            xm = xi * (one if mi else zero)
-            elementwise[i] = (xm - xi * t[i]) + np.log(d)
-
-    @_njit(parallel=True, cache=True)
-    def _nb_bce_bwd(up, x, t, mask, exp_neg_abs, denom, grad, zero, one):
-        for i in _prange(x.shape[0]):
-            dv = up / denom[i]
-            gi = up * (one if mask[i] else zero)
-            gi = gi + (-up) * t[i]
-            gi = gi + (-(dv * exp_neg_abs[i])) * np.sign(x[i])
-            grad[i] = gi
-
-    @_njit(parallel=True, cache=True)
-    def _nb_softmax_fwd(x, out, zero):
-        ncols = x.shape[1]
-        for r in _prange(x.shape[0]):
-            mx = x[r, 0]
-            for c in range(1, ncols):
-                v = x[r, c]
-                if v > mx or v != v:
-                    mx = v
-            for c in range(ncols):
-                out[r, c] = np.exp(x[r, c] - mx)
-            s = _nb_pairwise(out[r], 0, ncols, zero)
-            for c in range(ncols):
-                out[r, c] = out[r, c] / s
-
-    @_njit(parallel=True, cache=True)
-    def _nb_softmax_bwd(g, value, out, zero):
-        ncols = g.shape[1]
-        for r in _prange(g.shape[0]):
-            for c in range(ncols):
-                out[r, c] = g[r, c] * value[r, c]
-            dot = _nb_pairwise(out[r], 0, ncols, zero)
-            for c in range(ncols):
-                out[r, c] = value[r, c] * (g[r, c] - dot)
-
-    @_njit(parallel=True, cache=True)
-    def _nb_adam(p, grad, m, v, b1, omb1, b2, omb2, bias1, bias2, eps, lr):
-        for i in _prange(p.shape[0]):
-            g = grad[i]
-            mi = m[i] * b1 + g * omb1
-            vi = v[i] * b2 + (g * g) * omb2
-            m[i] = mi
-            v[i] = vi
-            u = np.sqrt(vi / bias2) + eps
-            p[i] -= ((mi / bias1) * lr) / u
-
-    @_njit(parallel=True, cache=True)
-    def _nb_sgd(p, grad, velocity, lr, momentum, has_momentum):
-        for i in _prange(p.shape[0]):
-            g = grad[i]
-            if has_momentum:
-                vi = velocity[i] * momentum + g
-                velocity[i] = vi
-                g = vi
-            p[i] -= g * lr
-
-    _floyd_apply = _njit(cache=True)(_floyd_apply_py)
-    _tail_apply = _njit(cache=True)(_tail_apply_py)
-    # Sequential by design: the draw cursor walks oversized rows in order.
-    _nb_nbr_apply = _njit(cache=True)(_nbr_apply_py)
-else:
-    _floyd_apply = _floyd_apply_py
-    _tail_apply = _tail_apply_py
-    _nb_nbr_apply = _nbr_apply_py
-
-
-# --------------------------------------------------------------------- #
-# Dispatch counters                                                      #
-# --------------------------------------------------------------------- #
-
-#: op name -> [fused-kernel hits, numpy-reference calls].
-_OP_COUNTS: dict[str, list[int]] = {}
-
-
-def _record(op: str, fused: bool) -> None:
-    counts = _OP_COUNTS.get(op)
-    if counts is None:
-        counts = _OP_COUNTS[op] = [0, 0]
-    counts[0 if fused else 1] += 1
-
-
-def op_counts() -> dict[str, dict[str, int]]:
-    """Per-op dispatch counts since the last :func:`reset_op_counts`."""
-    return {op: {"fused": c[0], "numpy": c[1]}
-            for op, c in sorted(_OP_COUNTS.items())}
-
-
-def reset_op_counts() -> None:
-    _OP_COUNTS.clear()
-
-
-# --------------------------------------------------------------------- #
-# Backends                                                               #
-# --------------------------------------------------------------------- #
-
-class KernelBackend:
-    """The numpy reference backend: the engine's historical kernels.
-
-    Every method is the exact expression (association order included)
-    the corresponding call site evaluated before the dispatch existed,
-    so this backend *is* the bit-exactness contract.
-    """
-
-    name = "numpy"
-
-    def spmm_forward(self, matrix, x: np.ndarray) -> np.ndarray:
-        _record("spmm", False)
-        return _np_spmm(matrix, x)
-
-    def spmm_backward(self, transpose, g: np.ndarray) -> np.ndarray:
-        _record("spmm", False)
-        return _np_spmm(transpose, g)
-
-    def gcn_layer_forward(self, matrix, support, bias, negative_slope):
-        _record("gcn_layer", False)
-        return _np_gcn_forward(matrix, support, bias, negative_slope)
-
-    def gcn_layer_backward(self, transpose, g, scale):
-        _record("gcn_layer", False)
-        return _np_gcn_backward(transpose, g, scale)
-
-    def bce_with_logits_forward(self, x, t, weights, reduction):
-        _record("bce", False)
-        return _np_bce_forward(x, t, weights, reduction)
-
-    def bce_with_logits_backward(self, g, x, t, weights, ctx):
-        _record("bce", False)
-        return _np_bce_backward(g, x, t, weights, ctx)
-
-    def softmax(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        _record("softmax", False)
-        return stable_softmax(values, axis=axis)
-
-    def softmax_backward(self, g, value, axis: int = -1) -> np.ndarray:
-        _record("softmax", False)
-        return _np_softmax_backward(g, value, axis)
-
-    def adam_step(self, p, grad, m, v, t, u, lr, beta1, beta2, eps,
-                  bias1, bias2) -> None:
-        _record("adam", False)
-        _np_adam_step(p, grad, m, v, t, u, lr, beta1, beta2, eps,
-                      bias1, bias2)
-
-    def sgd_step(self, p, grad, velocity, buf, lr, momentum) -> None:
-        _record("sgd", False)
-        _np_sgd_step(p, grad, velocity, buf, lr, momentum)
-
-    def sample_without_replacement(self, sampler: "NodeSampler",
-                                   rng: np.random.Generator) -> np.ndarray:
-        _record("sample", False)
-        return rng.choice(sampler.n, size=sampler.k, replace=False)
-
-    def sample_pairs(self, rng: np.random.Generator, high: int,
-                     size) -> np.ndarray:
-        """Uniform integer draws for edge/negative pair sampling.
-
-        Pure generator arithmetic — the stream is identical on every
-        backend by construction; dispatching it here makes the per-epoch
-        draw volume observable in the op counters.
-        """
-        _record("pairs", False)
-        return rng.integers(0, high, size=size)
-
-    def neighbor_gather(self, plan: tuple) -> np.ndarray:
-        """Map a :meth:`NeighborSampler.plan` to kept CSR positions."""
-        _record("neighbor", False)
-        return _np_nbr_apply(*plan)
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dense GEMM for the serving index's similarity scoring.
-
-        Both backends serve this from BLAS (a compiled twin could not
-        beat it), so the compiled backend inherits the numpy reference
-        and the fallback counter records that honestly.
-        """
-        _record("gemm", False)
-        return _np_gemm(a, b)
-
-    def topk_indices(self, scores: np.ndarray, k: int) -> np.ndarray:
-        """Deterministic top-k selection (see :func:`_np_topk`)."""
-        _record("topk", False)
-        return _np_topk(scores, k)
-
-    def fused_ops(self) -> dict[str, bool]:
-        """Which ops run a compiled kernel (all False for the reference)."""
-        return {}
-
-
-class CompiledBackend(KernelBackend):
-    """Numba-compiled kernels, probed for byte-identity, numpy fallback.
-
-    Probing happens once per process at first use: each compiled kernel
-    runs against the numpy reference on mixed-magnitude inputs in both
-    dtypes and is disabled (``fused_ops()[op] is False``) unless the
-    outputs match byte-for-byte.  Without numba every call delegates to
-    the numpy reference, recorded honestly in the fallback counters.
-    """
-
-    name = "compiled"
-
-    def __init__(self):
-        self._ops: dict[str, bool] | None = None
-
-    # -- probing -------------------------------------------------------- #
-    def _probed(self, op: str) -> bool:
-        if self._ops is None:
-            self._ops = _probe_compiled_kernels() if NUMBA_AVAILABLE else {}
-        return self._ops.get(op, False)
-
-    def fused_ops(self) -> dict[str, bool]:
-        if self._ops is None:
-            self._ops = _probe_compiled_kernels() if NUMBA_AVAILABLE else {}
-        return dict(self._ops)
-
-    # -- dispatched ops -------------------------------------------------- #
-    def spmm_forward(self, matrix, x):
-        if (self._probed("spmm") and x.ndim == 2
-                and matrix.dtype == x.dtype):
-            _record("spmm", True)
-            out = np.empty((matrix.shape[0], x.shape[1]), dtype=x.dtype)
-            _nb_spmm(matrix.indptr, matrix.indices, matrix.data,
-                     np.ascontiguousarray(x), out, x.dtype.type(0.0))
-            return out
-        return super().spmm_forward(matrix, x)
-
-    spmm_backward = spmm_forward
-
-    def gcn_layer_forward(self, matrix, support, bias, negative_slope):
-        if (self._probed("gcn_layer") and bias is None
-                and support.ndim == 2 and matrix.dtype == support.dtype):
-            _record("gcn_layer", True)
-            dt = support.dtype.type
-            out = np.empty((matrix.shape[0], support.shape[1]),
-                           dtype=support.dtype)
-            has_act = negative_slope is not None
-            scale = (np.empty_like(out) if has_act
-                     else _EMPTY_2D[support.dtype.str])
-            _nb_gcn(matrix.indptr, matrix.indices, matrix.data,
-                    np.ascontiguousarray(support), out, scale, dt(0.0),
-                    dt(1.0), dt(negative_slope if has_act else 0.0),
-                    has_act)
-            return out, (scale if has_act else None)
-        return super().gcn_layer_forward(matrix, support, bias,
-                                         negative_slope)
-
-    def gcn_layer_backward(self, transpose, g, scale):
-        if (self._probed("spmm") and g.ndim == 2
-                and transpose.dtype == g.dtype):
-            _record("gcn_layer", True)
-            gpre = g * scale if scale is not None else g
-            out = np.empty((transpose.shape[0], gpre.shape[1]),
-                           dtype=gpre.dtype)
-            _nb_spmm(transpose.indptr, transpose.indices, transpose.data,
-                     np.ascontiguousarray(gpre), out, g.dtype.type(0.0))
-            return out, gpre
-        return super().gcn_layer_backward(transpose, g, scale)
-
-    def bce_with_logits_forward(self, x, t, weights, reduction):
-        if (self._probed("bce") and weights is None
-                and reduction in ("sum", "mean") and _flattenable(x)
-                and t.shape == x.shape and _flattenable(t)):
-            _record("bce", True)
-            dt = x.dtype.type
-            mask = np.empty(x.shape, dtype=bool)
-            exp_neg_abs = np.empty_like(x)
-            denom = np.empty_like(x)
-            elementwise = np.empty_like(x)
-            _nb_bce_fwd(x.reshape(-1), t.reshape(-1), mask.reshape(-1),
-                        exp_neg_abs.reshape(-1), denom.reshape(-1),
-                        elementwise.reshape(-1), dt(0.0), dt(1.0))
-            # Reductions stay numpy: summing the byte-identical buffer
-            # with np.sum rounds exactly like the reference.
-            if reduction == "sum":
-                value = elementwise.sum()
-                scale = 1.0
-            else:
-                value = elementwise.sum() * (1.0 / elementwise.size)
-                scale = 1.0 / elementwise.size
-            return value, (mask, exp_neg_abs, denom, scale)
-        return super().bce_with_logits_forward(x, t, weights, reduction)
-
-    def bce_with_logits_backward(self, g, x, t, weights, ctx):
-        mask, exp_neg_abs, denom, scale = ctx
-        if (self._probed("bce") and weights is None and scale is not None
-                and _flattenable(x) and _flattenable(t)):
-            _record("bce", True)
-            dt = x.dtype.type
-            up = dt(g * scale)
-            grad = np.empty_like(x)
-            _nb_bce_bwd(up, x.reshape(-1), t.reshape(-1), mask.reshape(-1),
-                        exp_neg_abs.reshape(-1), denom.reshape(-1),
-                        grad.reshape(-1), dt(0.0), dt(1.0))
-            return grad
-        return super().bce_with_logits_backward(g, x, t, weights, ctx)
-
-    def softmax(self, values, axis=-1):
-        if (self._probed("softmax") and values.ndim == 2
-                and axis in (-1, 1) and values.shape[1] > 0):
-            _record("softmax", True)
-            out = np.empty_like(values)
-            _nb_softmax_fwd(np.ascontiguousarray(values), out,
-                            values.dtype.type(0.0))
-            return out
-        return super().softmax(values, axis=axis)
-
-    def softmax_backward(self, g, value, axis=-1):
-        if (self._probed("softmax") and g.ndim == 2 and axis in (-1, 1)
-                and g.shape == value.shape and g.dtype == value.dtype):
-            _record("softmax", True)
-            out = np.empty_like(g)
-            _nb_softmax_bwd(np.ascontiguousarray(g),
-                            np.ascontiguousarray(value), out,
-                            g.dtype.type(0.0))
-            return out
-        return super().softmax_backward(g, value, axis=axis)
-
-    def adam_step(self, p, grad, m, v, t, u, lr, beta1, beta2, eps,
-                  bias1, bias2):
-        if (self._probed("adam") and _flattenable(p) and _flattenable(grad)
-                and grad.dtype == p.dtype and grad.shape == p.shape):
-            _record("adam", True)
-            dt = p.dtype.type
-            _nb_adam(p.reshape(-1), grad.reshape(-1), m.reshape(-1),
-                     v.reshape(-1), dt(beta1), dt(1.0 - beta1), dt(beta2),
-                     dt(1.0 - beta2), dt(bias1), dt(bias2), dt(eps),
-                     dt(lr))
-            return
-        super().adam_step(p, grad, m, v, t, u, lr, beta1, beta2, eps,
-                          bias1, bias2)
-
-    def sgd_step(self, p, grad, velocity, buf, lr, momentum):
-        if (self._probed("sgd") and _flattenable(p) and _flattenable(grad)
-                and grad.dtype == p.dtype and grad.shape == p.shape):
-            _record("sgd", True)
-            dt = p.dtype.type
-            vel = velocity.reshape(-1) if momentum else p.reshape(-1)
-            _nb_sgd(p.reshape(-1), grad.reshape(-1), vel, dt(lr),
-                    dt(momentum), bool(momentum))
-            return
-        super().sgd_step(p, grad, velocity, buf, lr, momentum)
-
-    def sample_without_replacement(self, sampler, rng):
-        if sampler.usable():
-            _record("sample", True)
-            return sampler.replicated_sample(rng)
-        return super().sample_without_replacement(sampler, rng)
-
-    def neighbor_gather(self, plan):
-        if self._probed("neighbor"):
-            _record("neighbor", True)
-            starts, degs, kept, out_ptr, over_mask, draws, fanout = plan
-            out = np.empty(int(out_ptr[-1]), dtype=np.int64)
-            _nb_nbr_apply(starts, degs, kept, out_ptr, over_mask, draws,
-                          fanout, out)
-            return out
-        return super().neighbor_gather(plan)
-
-
-def _flattenable(a: np.ndarray) -> bool:
-    return a.flags["C_CONTIGUOUS"]
-
-
-#: Shared empty placeholders handed to numba when the scale buffer is
-#: unused (numba needs a concretely typed array even on dead branches).
-_EMPTY_2D = {np.dtype(dt).str: np.empty((0, 0), dtype=dt)
-             for dt in (np.float32, np.float64)}
-
-
-def _probe_compiled_kernels() -> dict[str, bool]:  # pragma: no cover
-    """Byte-compare every numba kernel against the numpy reference.
-
-    Runs once per process.  Any exception (typing failure, missing
-    feature) or byte mismatch disables that op permanently — the
-    compiled backend then serves it from the numpy reference, keeping
-    the bit-exactness contract unconditional.
-    """
-    import scipy.sparse as sp
-
-    ok: dict[str, bool] = {}
-    rng = np.random.default_rng(0x5EED)
-    for op in ("spmm", "gcn_layer", "bce", "softmax", "adam", "sgd",
-               "neighbor"):
-        ok[op] = True
-    # Integer-exact neighbor-gather kernel: synthetic plan with a mix of
-    # undersized and oversized rows, byte-compared against the numpy
-    # reference.
-    try:
-        fanout = 4
-        degs = rng.integers(0, 11, size=32).astype(np.int64)
-        starts = np.concatenate(([0], np.cumsum(degs[:-1]))).astype(np.int64)
-        kept = np.minimum(degs, fanout)
-        out_ptr = np.concatenate(([0], np.cumsum(kept))).astype(np.int64)
-        over_mask = degs > fanout
-        bounds = np.repeat(degs[over_mask], fanout)
-        draws = (rng.integers(0, bounds, dtype=np.int64) if bounds.size
-                 else np.empty(0, dtype=np.int64))
-        plan = (starts, degs, kept, out_ptr, over_mask, draws, fanout)
-        ref = _np_nbr_apply(*plan)
-        out = np.empty(int(out_ptr[-1]), dtype=np.int64)
-        _nb_nbr_apply(starts, degs, kept, out_ptr, over_mask, draws,
-                      fanout, out)
-        if out.tobytes() != ref.tobytes():
-            ok["neighbor"] = False
-    except Exception:
-        ok["neighbor"] = False
-    for dtype in (np.float64, np.float32):
-        dt = np.dtype(dtype).type
-        # Mixed magnitudes, exact zeros, both signs.
-        base = rng.standard_normal((64, 24))
-        base *= 10.0 ** rng.integers(-6, 7, size=base.shape)
-        base[rng.random(base.shape) < 0.05] = 0.0
-        dense = base.astype(dtype)
-        mat = sp.random(64, 64, density=0.15, random_state=7,
-                        data_rvs=lambda n: rng.standard_normal(n)).tocsr()
-        mat = mat.astype(dtype)
-        try:
-            ref = _np_spmm(mat, dense)
-            out = np.empty_like(ref)
-            _nb_spmm(mat.indptr, mat.indices, mat.data, dense, out, dt(0.0))
-            if out.tobytes() != ref.tobytes():
-                ok["spmm"] = False
-        except Exception:
-            ok["spmm"] = False
-        try:
-            for slope in (0.01, None):
-                refv, refs = _np_gcn_forward(mat, dense, None, slope)
-                out = np.empty_like(refv)
-                has_act = slope is not None
-                scale = (np.empty_like(refv) if has_act
-                         else _EMPTY_2D[np.dtype(dtype).str])
-                _nb_gcn(mat.indptr, mat.indices, mat.data, dense, out,
-                        scale, dt(0.0), dt(1.0),
-                        dt(slope if has_act else 0.0), has_act)
-                if out.tobytes() != refv.tobytes():
-                    ok["gcn_layer"] = False
-                if has_act and scale.tobytes() != refs.tobytes():
-                    ok["gcn_layer"] = False
-        except Exception:
-            ok["gcn_layer"] = False
-        logits = dense.copy()
-        target = (rng.random(dense.shape) < 0.3).astype(dtype)
-        try:
-            for reduction in ("sum", "mean"):
-                refv, refctx = _np_bce_forward(logits, target, None,
-                                               reduction)
-                mask = np.empty(logits.shape, dtype=bool)
-                ena = np.empty_like(logits)
-                den = np.empty_like(logits)
-                elem = np.empty_like(logits)
-                _nb_bce_fwd(logits.reshape(-1), target.reshape(-1),
-                            mask.reshape(-1), ena.reshape(-1),
-                            den.reshape(-1), elem.reshape(-1), dt(0.0),
-                            dt(1.0))
-                scl = refctx[3]
-                if (elem.sum() if reduction == "sum"
-                        else elem.sum() * scl).tobytes() != refv.tobytes():
-                    ok["bce"] = False
-                if (mask.tobytes() != refctx[0].tobytes()
-                        or ena.tobytes() != refctx[1].tobytes()
-                        or den.tobytes() != refctx[2].tobytes()):
-                    ok["bce"] = False
-                g = np.asarray(dt(1.7))
-                refg = _np_bce_backward(g, logits, target, None, refctx)
-                grad = np.empty_like(logits)
-                _nb_bce_bwd(dt(g * scl), logits.reshape(-1),
-                            target.reshape(-1), mask.reshape(-1),
-                            ena.reshape(-1), den.reshape(-1),
-                            grad.reshape(-1), dt(0.0), dt(1.0))
-                if grad.tobytes() != refg.tobytes():
-                    ok["bce"] = False
-        except Exception:
-            ok["bce"] = False
-        try:
-            sm_in = (dense[:, :7] * dt(0.1)).copy()
-            ref = stable_softmax(sm_in, axis=-1)
-            out = np.empty_like(sm_in)
-            _nb_softmax_fwd(sm_in, out, dt(0.0))
-            if out.tobytes() != ref.tobytes():
-                ok["softmax"] = False
-            gg = dense[:, 7:14].copy()
-            refb = _np_softmax_backward(gg, ref, -1)
-            outb = np.empty_like(gg)
-            _nb_softmax_bwd(gg, ref, outb, dt(0.0))
-            if outb.tobytes() != refb.tobytes():
-                ok["softmax"] = False
-        except Exception:
-            ok["softmax"] = False
-        try:
-            p_ref = dense.copy()
-            grad = (rng.standard_normal(dense.shape)
-                    * 10.0 ** rng.integers(-5, 4, size=dense.shape)
-                    ).astype(dtype)
-            m = (rng.standard_normal(dense.shape) * 0.1).astype(dtype)
-            v = np.abs(rng.standard_normal(dense.shape) * 0.01).astype(dtype)
-            t = np.empty_like(p_ref)
-            u = np.empty_like(p_ref)
-            p_nb, m_nb, v_nb = p_ref.copy(), m.copy(), v.copy()
-            _np_adam_step(p_ref, grad, m, v, t, u, 0.02, 0.9, 0.999,
-                          1e-8, 1.0 - 0.9 ** 3, 1.0 - 0.999 ** 3)
-            _nb_adam(p_nb.reshape(-1), grad.reshape(-1), m_nb.reshape(-1),
-                     v_nb.reshape(-1), dt(0.9), dt(1.0 - 0.9), dt(0.999),
-                     dt(1.0 - 0.999), dt(1.0 - 0.9 ** 3),
-                     dt(1.0 - 0.999 ** 3), dt(1e-8), dt(0.02))
-            if (p_nb.tobytes() != p_ref.tobytes()
-                    or m_nb.tobytes() != m.tobytes()
-                    or v_nb.tobytes() != v.tobytes()):
-                ok["adam"] = False
-        except Exception:
-            ok["adam"] = False
-        try:
-            for momentum in (0.0, 0.9):
-                p_ref = dense.copy()
-                grad = dense[::-1].copy()
-                vel = (np.abs(dense) * 0.1).copy()
-                buf = np.empty_like(p_ref)
-                p_nb, vel_nb = p_ref.copy(), vel.copy()
-                _np_sgd_step(p_ref, grad, vel if momentum else None, buf,
-                             0.05, momentum)
-                _nb_sgd(p_nb.reshape(-1), grad.reshape(-1),
-                        vel_nb.reshape(-1), dt(0.05), dt(momentum),
-                        bool(momentum))
-                if p_nb.tobytes() != p_ref.tobytes():
-                    ok["sgd"] = False
-                if momentum and vel_nb.tobytes() != vel.tobytes():
-                    ok["sgd"] = False
-        except Exception:
-            ok["sgd"] = False
-    return ok
-
-
-# --------------------------------------------------------------------- #
-# Registry and active-backend selection                                  #
-# --------------------------------------------------------------------- #
-
-_REGISTRY: dict[str, KernelBackend] = {}
-
-
-def register_backend(name: str, backend: KernelBackend) -> None:
-    """Register (or replace) a backend under ``name``."""
-    _REGISTRY[name] = backend
-
-
-def known_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`resolve_backend` (sorted)."""
-    return tuple(sorted(_REGISTRY))
-
-
-register_backend("numpy", KernelBackend())
-register_backend("compiled", CompiledBackend())
-
-_ACTIVE: KernelBackend = _REGISTRY["numpy"]
-
-
-def resolve_backend(spec=None) -> KernelBackend:
-    """Map a spec (name, instance, or None) to a registered backend.
-
-    ``None`` reads ``REPRO_BACKEND`` (default ``"numpy"``), so a fit
-    resolves its backend exactly once and env/CLI selection needs no
-    plumbing through intermediate layers.
-    """
-    if isinstance(spec, KernelBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get("REPRO_BACKEND") or "numpy"
-    try:
-        return _REGISTRY[spec]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {spec!r}; known backends: "
-            f"{', '.join(known_backends())}") from None
-
-
-def active() -> KernelBackend:
-    """The backend kernel dispatch currently routes to."""
-    return _ACTIVE
-
-
-def set_backend(spec) -> KernelBackend:
-    """Permanently switch the active backend (prefer :func:`use_backend`)."""
-    global _ACTIVE
-    _ACTIVE = resolve_backend(spec)
-    return _ACTIVE
-
-
-@contextlib.contextmanager
-def use_backend(spec=None):
-    """Run the block with the backend resolved from ``spec`` active."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = resolve_backend(spec)
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
-
-
-def backend_info(backend: KernelBackend | None = None) -> dict:
-    """Report for ``repro profile``: name, numba availability, op counts."""
-    b = backend if backend is not None else _ACTIVE
-    return {"backend": b.name,
-            "numba_available": NUMBA_AVAILABLE,
-            "fused_ops": b.fused_ops(),
-            "ops": op_counts()}
-
-
-# --------------------------------------------------------------------- #
-# Sampling without replacement                                           #
-# --------------------------------------------------------------------- #
-
-def _clone_generator(rng: np.random.Generator) -> np.random.Generator:
-    bit_gen = type(rng.bit_generator)()
-    bit_gen.state = rng.bit_generator.state
-    return np.random.Generator(bit_gen)
-
-
-class NodeSampler:
-    """Preallocated-buffer replication of ``rng.choice(n, k, replace=False)``.
-
-    Draws the *identical* bounded-integer stream from the generator that
-    ``Generator.choice`` consumes internally (Floyd selection + shuffle
-    for small samples, partial Fisher-Yates for huge dense ones), so the
-    sampled indices and the generator's end state are bit-identical —
-    but the O(n) permutation scratch is allocated once and reused
-    instead of per call.  Self-verifies against ``rng.choice`` on a
-    cloned generator the first time it is used and falls back to
-    ``rng.choice`` permanently on any mismatch, so a future numpy
-    implementation change can never silently alter the index stream.
-    """
-
-    def __init__(self, n: int, k: int):
-        if not 0 < k <= n:
-            raise ValueError(f"need 0 < k <= n, got n={n} k={k}")
-        self.n = int(n)
-        self.k = int(k)
-        self._tail = self.n > 10000 and self.k > self.n // 50
-        self._out = np.empty(self.k, dtype=np.int64)
-        if self._tail:
-            self._first = max(self.n - self.k, 1)
-            self._perm = np.arange(self.n, dtype=np.int64)
-            self._bounds = np.arange(self.n, self._first, -1,
-                                     dtype=np.uint64)
-        else:
-            self._bounds = np.arange(self.n - self.k + 1, self.n + 1,
-                                     dtype=np.uint64)
-            self._fy_bounds = (np.arange(self.k, 1, -1, dtype=np.uint64)
-                               if self.k > 1 else np.empty(0, np.uint64))
-            self._mask = np.zeros(self.n, dtype=np.bool_)
-        #: None = unverified, True = replication verified, False = fall back.
-        self._verified: bool | None = None
-
-    def usable(self) -> bool:
-        """Whether the replicated fast path is (or may become) active."""
-        return self._verified is not False
-
-    def replicated_sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample ``k`` of ``n`` indices, bit-identical to ``rng.choice``.
-
-        The returned array is the sampler's reusable buffer — valid
-        until the next call.
-        """
-        if self._verified is None:
-            self._verified = self._self_check(rng)
-        if not self._verified:
-            return rng.choice(self.n, size=self.k, replace=False)
-        return self._apply(rng)
-
-    def _apply(self, rng: np.random.Generator) -> np.ndarray:
-        if self._tail:
-            draws = rng.integers(0, self._bounds, dtype=np.uint64)
-            _tail_apply(draws, self._perm, self._out, self.n, self.k,
-                        self._first)
-        else:
-            draws = rng.integers(0, self._bounds, dtype=np.uint64)
-            fy = (rng.integers(0, self._fy_bounds, dtype=np.uint64)
-                  if self.k > 1 else self._fy_bounds)
-            _floyd_apply(draws, fy, self._out, self._mask, self.n, self.k)
-        return self._out
-
-    def _self_check(self, rng: np.random.Generator) -> bool:
-        try:
-            ref_rng = _clone_generator(rng)
-            rep_rng = _clone_generator(rng)
-            expected = ref_rng.choice(self.n, size=self.k, replace=False)
-            got = self._apply(rep_rng)
-            return (np.array_equal(expected, np.asarray(got))
-                    and repr(ref_rng.bit_generator.state)
-                    == repr(rep_rng.bit_generator.state))
-        except Exception:
-            return False
-
 
 class NeighborSampler:
     """Fanout-bounded per-layer neighbor sampling over one fixed CSR matrix.
@@ -1144,10 +289,8 @@ class NeighborSampler:
     unbiased estimate of the full row sum.
 
     Determinism contract: the bounded-integer draw stream comes from one
-    vectorised ``rng.integers`` call *before* kernel dispatch, so any
-    backend / worker count / dtype consumes the identical stream; only
-    the gather of pre-drawn offsets (``neighbor_gather``) is dispatched —
-    numpy reference vs numba twin, probed byte-identical at first use.
+    vectorised ``rng.integers`` call per layer, so any worker count or
+    dtype consumes the identical stream.
     """
 
     def __init__(self, matrix, fanout: int):
@@ -1161,9 +304,16 @@ class NeighborSampler:
         self.data = matrix.data
         self._degs = np.diff(matrix.indptr).astype(np.int64)
 
-    def plan(self, seeds: np.ndarray,
-             rng: np.random.Generator) -> tuple:
-        """Draw this layer's offsets; returns the kernel-ready plan."""
+    def sample(self, seeds: np.ndarray, rng: np.random.Generator
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One layer of neighbor sampling for ``seeds``.
+
+        Returns ``(out_ptr, cols, vals)``: the per-seed CSR pointer of
+        the kept entries, their (global) column ids and their rescaled
+        values.  Rows at or under the fanout are passed through exactly
+        (no rescale, no draw), so the rescale multiplies only where
+        subsampling actually happened.
+        """
         seeds = np.asarray(seeds, dtype=np.int64)
         degs = self._degs[seeds]
         starts = self.indptr[seeds].astype(np.int64)
@@ -1175,21 +325,7 @@ class NeighborSampler:
         bounds = np.repeat(degs[over_mask], self.fanout)
         draws = (rng.integers(0, bounds, dtype=np.int64) if bounds.size
                  else np.empty(0, dtype=np.int64))
-        return starts, degs, kept, out_ptr, over_mask, draws, self.fanout
-
-    def sample(self, seeds: np.ndarray, rng: np.random.Generator
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One layer of neighbor sampling for ``seeds``.
-
-        Returns ``(out_ptr, cols, vals)``: the per-seed CSR pointer of
-        the kept entries, their (global) column ids and their rescaled
-        values.  Rows at or under the fanout are passed through exactly
-        (no rescale, no draw), so the rescale multiplies only where
-        subsampling actually happened.
-        """
-        plan = self.plan(seeds, rng)
-        starts, degs, kept, out_ptr, over_mask, draws, _ = plan
-        positions = _ACTIVE.neighbor_gather(plan)
+        positions = neighbor_gather(starts, kept, out_ptr, over_mask, draws)
         cols = self.indices[positions].astype(np.int64, copy=False)
         vals = self.data[positions]
         if draws.size:

@@ -23,7 +23,7 @@ __all__ = [
 _EPS = 1e-10
 
 #: When True (the default) the BCE-with-logits losses run through the
-#: single-node fused kernel (which itself dispatches to the active
+#: single-node fused kernel (whose arithmetic lives in
 #: :mod:`repro.nn.backend`); the op-by-op reference composition is kept
 #: for equivalence tests and before/after benchmarks.
 _USE_FUSED = True

@@ -159,7 +159,7 @@ class GCNConv(Module):
                 negative_slope: float | None = None) -> Tensor:
         """Apply the layer; ``negative_slope`` folds a LeakyReLU into the
         same graph node (bit-identical to calling ``.leaky_relu`` on the
-        result — callers pass it so the backend can fuse the epilogue)."""
+        result — callers pass it so the fused layer applies the epilogue)."""
         if _USE_FUSED_LAYERS:
             return fused_gcn_layer(x, self.weight, adj_norm, bias=self.bias,
                                    negative_slope=negative_slope)

@@ -10,9 +10,8 @@ IEEE-754 — so histories match the historical allocating implementation
 bit for bit.  All state (moments, velocity, scratch) follows each
 parameter's dtype.
 
-Both update kernels dispatch through :mod:`repro.nn.backend`: the numpy
-backend runs the scratch-buffer expressions below, the compiled backend
-a probed-bit-identical parallel kernel.
+Both update kernels live in :mod:`repro.nn.backend` (``sgd_step``,
+``adam_step``), which counts them per step.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor
-from .backend import active as _active_backend
+from . import backend as kernels
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
@@ -128,10 +127,9 @@ class SGD(Optimizer):
         return self._velocity
 
     def step(self) -> None:
-        backend = _active_backend()
         for i, p in enumerate(self.params):
             grad = self._effective_grad(i, p)
-            backend.sgd_step(p.data, grad,
+            kernels.sgd_step(p.data, grad,
                              self._velocity[i] if self.momentum else None,
                              self._buf[i], self.lr, self.momentum)
 
@@ -166,9 +164,8 @@ class Adam(Optimizer):
         self._step += 1
         bias1 = 1.0 - self.beta1 ** self._step
         bias2 = 1.0 - self.beta2 ** self._step
-        backend = _active_backend()
         for i, p in enumerate(self.params):
             grad = self._effective_grad(i, p)
-            backend.adam_step(p.data, grad, self._m[i], self._v[i],
+            kernels.adam_step(p.data, grad, self._m[i], self._v[i],
                               self._t[i], self._u[i], self.lr, self.beta1,
                               self.beta2, self.eps, bias1, bias2)

@@ -48,11 +48,10 @@ _DIGEST_SIZE = 16
 _EPOCH_NAME = re.compile(r"^ckpt-r(\d+)-e(\d+)\.ckpt$")
 FINAL_NAME = "final.ckpt"
 
-#: Config fields that change where snapshots go or how fast the run
-#: computes, not *what* it computes — excluded from the run key so
-#: re-pointing the checkpoint dir (or switching kernel backend, which
-#: is bit-identical by contract) still resumes the same run.
-_NON_TRAJECTORY_FIELDS = {"checkpoint_dir", "checkpoint_every", "backend"}
+#: Config fields that change where snapshots go, not *what* the run
+#: computes — excluded from the run key so re-pointing the checkpoint
+#: dir still resumes the same run.
+_NON_TRAJECTORY_FIELDS = {"checkpoint_dir", "checkpoint_every"}
 
 
 class CheckpointError(RuntimeError):

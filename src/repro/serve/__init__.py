@@ -12,11 +12,11 @@ Three layers turn a finished fit into a high-throughput query surface:
     previous version exactly like ``CheckpointManager.load_latest``.
 
 :mod:`repro.serve.index`
-    k-NN over the L2-normalised embeddings with two backends mirroring
-    the :mod:`repro.nn.backend` pattern — ``exact`` (blocked matmul
-    reference) and ``ivf`` (k-means coarse quantisation, calibrated
-    against exact recall@10 with an honest fallback) — answering
-    ``similar_nodes``, ``same_community`` and ``query_vector``.
+    k-NN over the L2-normalised embeddings with two backends —
+    ``exact`` (blocked matmul reference) and ``ivf`` (k-means coarse
+    quantisation, calibrated against exact recall@10 with an honest
+    fallback) — answering ``similar_nodes``, ``same_community`` and
+    ``query_vector``.
 
 :mod:`repro.serve.server`
     A stdlib-only :mod:`asyncio` HTTP front end with a micro-batching

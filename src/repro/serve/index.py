@@ -1,6 +1,6 @@
 """k-NN index over the store's L2-normalised embeddings.
 
-Two backends mirror the :mod:`repro.nn.backend` pattern:
+Two backends, selected by name:
 
 ``exact``
     The reference: blocked matmul of normalised mmap row blocks against
@@ -18,14 +18,14 @@ Two backends mirror the :mod:`repro.nn.backend` pattern:
     configured ``ivf`` spec can never silently serve bad neighbours.
 
 Determinism contract: equal scores rank by lower node id
-(``backend.topk_indices``), and whether a batch of queries is scored as
-one GEMM or as per-query GEMVs is decided by :func:`gemm_columns_stable`
-— a one-shot probe of whether this BLAS produces bit-identical GEMM
-columns and GEMV results.  Where it does not (OpenBLAS on this box),
-batched scoring runs one GEMV per query over the shared normalised
-block, so micro-batched server responses are **bit-identical** to
-serial ones while still amortising the expensive part (mmap block
-materialisation + normalisation) across the batch.
+(:func:`repro.nn.backend.topk_indices`), and whether a batch of queries
+is scored as one GEMM or as per-query GEMVs is decided by
+:func:`gemm_columns_stable` — a one-shot probe of whether this BLAS
+produces bit-identical GEMM columns and GEMV results.  Where it does not
+(typical for OpenBLAS), batched scoring runs one GEMV per query over the
+shared normalised block, so micro-batched server responses are
+**bit-identical** to serial ones while still amortising the expensive
+part (mmap block materialisation + normalisation) across the batch.
 
 Selection: ``build_index(store, spec)`` with ``spec`` from the argument,
 the ``REPRO_SERVE_INDEX`` environment variable, or the default
@@ -42,7 +42,7 @@ import warnings
 import numpy as np
 
 from ..cluster import kmeans
-from ..nn import backend as nn_backend
+from ..nn import backend as kernels
 from ..obs import events, metrics
 from .store import BLOCK_ROWS, ServingStore
 
@@ -107,9 +107,8 @@ class KNNIndex:
 
     name = "base"
 
-    def __init__(self, store: ServingStore, backend=None):
+    def __init__(self, store: ServingStore):
         self.store = store
-        self.backend = nn_backend.resolve_backend(backend)
 
     # -- scoring helpers ------------------------------------------------- #
     def _score_block(self, block: np.ndarray,
@@ -117,8 +116,8 @@ class KNNIndex:
         """Cosine scores of ``block`` rows against unit queries, as a
         ``B × rows`` matrix, bit-stable across batch compositions."""
         if queries.shape[0] > 1 and gemm_columns_stable():
-            return self.backend.matmul(block, queries.T).T
-        return np.stack([self.backend.matmul(block, queries[j])
+            return kernels.matmul(block, queries.T).T
+        return np.stack([kernels.matmul(block, queries[j])
                          for j in range(queries.shape[0])])
 
     def _normalized_block(self, start: int, stop: int) -> np.ndarray:
@@ -133,7 +132,7 @@ class KNNIndex:
         for start in range(0, ids.shape[0], BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, ids.shape[0])
             rows = self.store.normalized_rows(ids[start:stop])
-            scores[start:stop] = self.backend.matmul(rows, query)
+            scores[start:stop] = kernels.matmul(rows, query)
         return scores
 
     # -- public query API ------------------------------------------------ #
@@ -173,7 +172,7 @@ class KNNIndex:
         query = self.store.normalized_rows(np.array([node]))[0]
         scores = self._score_ids(members, query)
         pool = min(int(k) + 1, members.shape[0])
-        top = self.backend.topk_indices(scores, pool)
+        top = kernels.topk_indices(scores, pool)
         ids, topscores = _merge_topk(members[top], scores[top], int(k),
                                      exclude=node)
         return ids, topscores
@@ -184,9 +183,8 @@ class ExactIndex(KNNIndex):
 
     name = "exact"
 
-    def __init__(self, store: ServingStore, backend=None,
-                 block_rows: int | None = None):
-        super().__init__(store, backend)
+    def __init__(self, store: ServingStore, block_rows: int | None = None):
+        super().__init__(store)
         self.block_rows = int(block_rows or BLOCK_ROWS)
 
     def query_vectors(self, vectors, k, exclude=None):
@@ -203,7 +201,7 @@ class ExactIndex(KNNIndex):
             stop = min(start + self.block_rows, self.store.num_nodes)
             block = self._normalized_block(start, stop)
             scores = self._score_block(block, queries)  # B × rows
-            top = self.backend.topk_indices(scores, pool)
+            top = kernels.topk_indices(scores, pool)
             for j in range(batch):
                 cand_ids[j].append(top[j] + start)
                 cand_scores[j].append(scores[j, top[j]])
@@ -230,12 +228,12 @@ class IVFIndex(KNNIndex):
 
     name = "ivf"
 
-    def __init__(self, store: ServingStore, backend=None,
+    def __init__(self, store: ServingStore,
                  cells: int | None = None, probes: int | None = None,
                  seed: int = 0x1F5EED, train_sample: int = 20000,
                  calibration_queries: int = 32, min_recall: float = 0.95,
                  max_iter: int = 25):
-        super().__init__(store, backend)
+        super().__init__(store)
         n = store.num_nodes
         if cells is None:
             cells = int(os.environ.get("REPRO_SERVE_CELLS") or 0)
@@ -269,7 +267,7 @@ class IVFIndex(KNNIndex):
         for start in range(0, store.num_nodes, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, store.num_nodes)
             block = self._normalized_block(start, stop)
-            cell_scores = self.backend.matmul(block, self.centroids.T)
+            cell_scores = kernels.matmul(block, self.centroids.T)
             cell_scores -= self._half_sq
             assign[start:stop] = cell_scores.argmax(axis=1)
         order = np.argsort(assign, kind="stable")
@@ -281,7 +279,7 @@ class IVFIndex(KNNIndex):
     # -- calibration ------------------------------------------------------ #
     def _calibrate(self, rng: np.random.Generator, queries: int) -> None:
         store = self.store
-        exact = ExactIndex(store, self.backend)
+        exact = ExactIndex(store)
         k = min(10, max(1, store.num_nodes - 1))
         nodes = rng.choice(store.num_nodes, size=queries, replace=False)
         vectors = store.normalized_rows(nodes)
@@ -326,7 +324,7 @@ class IVFIndex(KNNIndex):
             exclude = [None] * batch
         cell_scores = self._score_block(self.centroids, queries)
         cell_scores -= self._half_sq
-        probe_cells = self.backend.topk_indices(cell_scores, self.probes)
+        probe_cells = kernels.topk_indices(cell_scores, self.probes)
         results = []
         for j in range(batch):
             ids = np.concatenate([self._lists[c] for c in probe_cells[j]])
@@ -336,7 +334,7 @@ class IVFIndex(KNNIndex):
                 continue
             scores = self._score_ids(ids, queries[j])
             pool = min(int(k) + 1, ids.shape[0])
-            top = self.backend.topk_indices(scores, pool)
+            top = kernels.topk_indices(scores, pool)
             results.append(_merge_topk(ids[top], scores[top], int(k),
                                        exclude[j]))
         return results
@@ -372,8 +370,7 @@ def build_index(store: ServingStore, spec: str | None = None,
                 **kwargs) -> KNNIndex:
     """Build the index backend named by ``spec`` over ``store``.
 
-    ``None`` reads ``REPRO_SERVE_INDEX`` (default ``exact``), mirroring
-    :func:`repro.nn.backend.resolve_backend`.
+    ``None`` reads ``REPRO_SERVE_INDEX`` (default ``exact``).
     """
     if spec is None:
         spec = os.environ.get("REPRO_SERVE_INDEX") or "exact"

@@ -166,7 +166,7 @@ class EmbeddingServer:
                  port: int = 0, index_spec: str | None = None,
                  batch_window_ms: float | None = None,
                  cache_size: int | None = None,
-                 max_batch: int | None = None, backend=None,
+                 max_batch: int | None = None,
                  index_kwargs: dict | None = None,
                  queue_limit: int | None = None,
                  deadline_ms: float | None = None,
@@ -178,7 +178,6 @@ class EmbeddingServer:
         self.host = host
         self.port = int(port)
         self._index_spec = index_spec
-        self._backend = backend
         self._index_kwargs = dict(index_kwargs or {})
         if batch_window_ms is None:
             batch_window_ms = float(
@@ -234,12 +233,11 @@ class EmbeddingServer:
         whole LRU budget belongs to the live version.
         """
         serving = self._store.load()
-        index = build_index(serving, self._index_spec,
-                            backend=self._backend, **self._index_kwargs)
+        index = build_index(serving, self._index_spec, **self._index_kwargs)
         indexes = {index.name: index}
         ladder = [index.name]
         if index.name != "exact":
-            indexes["exact"] = ExactIndex(serving, backend=self._backend)
+            indexes["exact"] = ExactIndex(serving)
             ladder.append("exact")
         ladder.append(guard.CACHE_ONLY)
         previous = getattr(self, "serving", None)

@@ -1,16 +1,11 @@
-"""Tests for the pluggable kernel backend (:mod:`repro.nn.backend`).
+"""Tests for the kernel module (:mod:`repro.nn.backend`).
 
-The hard contract under test: **any backend produces bit-identical
-embeddings**.  The recorded hashes below were produced by the engine
-*before* the backend layer existed (same graph recipe, same config), so
-full-fit equality against them proves the refactor — fused GCN layer,
-dispatching optimizers, replicated sampler and all — changed nothing,
-down to the last ULP, on either backend.
-
-On machines without numba the ``compiled`` backend exercises its
-per-op numpy fallback (which must also be bit-exact); where numba is
-installed the probe tests additionally pin the compiled kernels
-byte-identical to the references.
+The hard contract under test: the kernels reproduce the engine's
+historical embeddings **bit for bit**.  The recorded hashes below were
+produced by the engine *before* the kernel module existed (same graph
+recipe, same config), so full-fit equality against them proves that
+moving the kernels — fused GCN layer, fused BCE loss, optimizer steps
+and all — changed nothing, down to the last ULP.
 """
 
 import hashlib
@@ -19,17 +14,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import AnECI, AnECIConfig, workspace_cache
-from repro.core.workspace import fit_fingerprint, _config_knobs
+from repro.core import AnECI, workspace_cache
 from repro.graph.generators import planted_partition
-from repro.nn import Adam, SGD, Tensor, spmm
-from repro.nn import backend as B
-from repro.nn.backend import (KernelBackend, NodeSampler, NUMBA_AVAILABLE,
-                              backend_info, known_backends, op_counts,
-                              reset_op_counts, resolve_backend, set_backend,
-                              use_backend)
+from repro.nn import Tensor
+from repro.nn.backend import op_counts, reset_op_counts
 from repro.nn.layers import GCNConv, reference_composed_layers
-from repro.resilience.checkpoint import config_key, run_key
 
 
 def _hash(a):
@@ -43,109 +32,10 @@ def small_graph(seed=7):
 
 
 # --------------------------------------------------------------------- #
-# Registry, resolution and selection                                     #
-# --------------------------------------------------------------------- #
-class TestBackendRegistry:
-    def test_known_backends(self):
-        assert known_backends() == ("compiled", "numpy")
-
-    def test_resolve_by_name(self):
-        assert resolve_backend("numpy").name == "numpy"
-        assert resolve_backend("compiled").name == "compiled"
-
-    def test_resolve_instance_passthrough(self):
-        b = resolve_backend("numpy")
-        assert resolve_backend(b) is b
-
-    def test_resolve_none_reads_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None).name == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        assert resolve_backend(None).name == "compiled"
-        monkeypatch.setenv("REPRO_BACKEND", "")
-        assert resolve_backend(None).name == "numpy"
-
-    def test_resolve_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("cuda")
-
-    def test_use_backend_restores(self):
-        before = B.active()
-        with use_backend("compiled") as b:
-            assert b.name == "compiled"
-            assert B.active() is b
-        assert B.active() is before
-
-    def test_use_backend_restores_on_error(self):
-        before = B.active()
-        with pytest.raises(RuntimeError):
-            with use_backend("compiled"):
-                raise RuntimeError("boom")
-        assert B.active() is before
-
-    def test_set_backend(self):
-        previous = B.active()
-        try:
-            assert set_backend("compiled").name == "compiled"
-            assert B.active().name == "compiled"
-        finally:
-            set_backend(previous)
-
-    def test_register_backend_roundtrip(self):
-        custom = KernelBackend()
-        B.register_backend("custom-test", custom)
-        try:
-            assert resolve_backend("custom-test") is custom
-            assert "custom-test" in known_backends()
-        finally:
-            del B._REGISTRY["custom-test"]
-
-    def test_backend_info_shape(self):
-        info = backend_info(resolve_backend("compiled"))
-        assert info["backend"] == "compiled"
-        assert info["numba_available"] is NUMBA_AVAILABLE
-        assert isinstance(info["fused_ops"], dict)
-        assert isinstance(info["ops"], dict)
-
-
-class TestConfigSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert AnECIConfig(num_communities=3).backend == "numpy"
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        assert AnECIConfig(num_communities=3).backend == "compiled"
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        assert AnECIConfig(num_communities=3, backend="numpy").backend \
-            == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            AnECIConfig(num_communities=3, backend="tpu")
-
-    def test_backend_not_in_run_key(self):
-        g = small_graph()
-        a = AnECIConfig(num_communities=3, backend="numpy")
-        b = AnECIConfig(num_communities=3, backend="compiled")
-        assert config_key(a) == config_key(b)
-        assert run_key(g, a) == run_key(g, b)
-
-    def test_backend_not_in_workspace_fingerprint(self):
-        g = small_graph()
-        a = AnECIConfig(num_communities=3, backend="numpy")
-        b = AnECIConfig(num_communities=3, backend="compiled")
-        assert fit_fingerprint(g.adjacency, _config_knobs(a)) \
-            == fit_fingerprint(g.adjacency, _config_knobs(b))
-
-
-# --------------------------------------------------------------------- #
-# Full-fit bit-exactness against the pre-backend engine                  #
+# Full-fit bit-exactness against the engine before the kernel module    #
 # --------------------------------------------------------------------- #
 #: (embedding hash, membership hash) recorded on the engine BEFORE the
-#: backend layer existed — planted_partition(3, 40, 0.3, 0.05, rng(7),
+#: kernel module existed — planted_partition(3, 40, 0.3, 0.05, rng(7),
 #: num_features=16); AnECI(16, num_communities=3, epochs=12, lr=0.02,
 #: seed=0, **case kwargs); blake2b-128 of the contiguous array bytes.
 REFERENCE_HASHES = {
@@ -168,15 +58,14 @@ CASE_KWARGS = {
 
 
 class TestFullFitBitExactness:
-    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
     @pytest.mark.parametrize("case", sorted(REFERENCE_HASHES))
-    def test_fit_matches_prerefactor_hashes(self, backend, case):
-        # dtype/backend are explicit so REPRO_DTYPE/REPRO_BACKEND CI env
-        # legs cannot skew the recipe.
+    def test_fit_matches_prerefactor_hashes(self, case):
+        # dtype is explicit so the REPRO_DTYPE CI env leg cannot skew
+        # the recipe.
         workspace_cache().clear()
         graph = small_graph()
         model = AnECI(graph.num_features, num_communities=3, epochs=12,
-                      lr=0.02, seed=0, backend=backend, **CASE_KWARGS[case])
+                      lr=0.02, seed=0, **CASE_KWARGS[case])
         embedding = model.fit_transform(graph)
         membership = model.membership()
         expected_emb, expected_mem = REFERENCE_HASHES[case]
@@ -229,175 +118,7 @@ class TestFusedLayerEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Kernel-level equivalence: compiled dispatch vs numpy reference         #
-# --------------------------------------------------------------------- #
-def _mixed(rng, shape, dtype):
-    a = rng.standard_normal(shape)
-    a *= 10.0 ** rng.integers(-6, 7, size=shape)
-    a[rng.random(shape) < 0.05] = 0.0
-    return a.astype(dtype)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-class TestKernelEquivalence:
-    def test_spmm(self, dtype):
-        rng = np.random.default_rng(0)
-        m = sp.random(50, 50, density=0.15, random_state=1).tocsr() \
-            .astype(dtype)
-        x = _mixed(rng, (50, 7), dtype)
-        ref = B._np_spmm(m, x)
-        for name in ("numpy", "compiled"):
-            got = resolve_backend(name).spmm_forward(m, x)
-            assert got.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("slope", [None, 0.01])
-    def test_gcn_layer(self, dtype, slope):
-        rng = np.random.default_rng(1)
-        m = sp.random(40, 40, density=0.2, random_state=2).tocsr() \
-            .astype(dtype)
-        support = _mixed(rng, (40, 6), dtype)
-        g = _mixed(rng, (40, 6), dtype)
-        ref_out, ref_scale = B._np_gcn_forward(m, support, None, slope)
-        transpose = m.T.tocsr()
-        ref_gs, ref_gp = B._np_gcn_backward(transpose, g, ref_scale)
-        for name in ("numpy", "compiled"):
-            b = resolve_backend(name)
-            out, scale = b.gcn_layer_forward(m, support, None, slope)
-            assert out.tobytes() == ref_out.tobytes()
-            gs, gp = b.gcn_layer_backward(transpose, g, scale)
-            assert gs.tobytes() == ref_gs.tobytes()
-            assert gp.tobytes() == ref_gp.tobytes()
-
-    @pytest.mark.parametrize("reduction", ["sum", "mean"])
-    def test_bce_with_logits(self, dtype, reduction):
-        rng = np.random.default_rng(2)
-        x = _mixed(rng, (33, 9), dtype)
-        t = (rng.random((33, 9)) > 0.5).astype(dtype)
-        g = np.asarray(1.7, dtype=dtype)
-        ref_val, ref_ctx = B._np_bce_forward(x, t, None, reduction)
-        ref_grad = B._np_bce_backward(g, x, t, None, ref_ctx)
-        for name in ("numpy", "compiled"):
-            b = resolve_backend(name)
-            val, ctx = b.bce_with_logits_forward(x, t, None, reduction)
-            assert np.asarray(val).tobytes() == np.asarray(ref_val).tobytes()
-            grad = b.bce_with_logits_backward(g, x, t, None, ctx)
-            assert grad.tobytes() == ref_grad.tobytes()
-
-    def test_softmax(self, dtype):
-        rng = np.random.default_rng(3)
-        x = _mixed(rng, (21, 5), dtype)
-        g = _mixed(rng, (21, 5), dtype)
-        ref = B.stable_softmax(x, axis=-1)
-        ref_grad = B._np_softmax_backward(g, ref, -1)
-        for name in ("numpy", "compiled"):
-            b = resolve_backend(name)
-            val = b.softmax(x, axis=-1)
-            assert val.tobytes() == ref.tobytes()
-            grad = b.softmax_backward(g, val, axis=-1)
-            assert grad.tobytes() == ref_grad.tobytes()
-
-
-class TestOptimizerEquivalence:
-    """Optimizer steps through either backend match the historical loop."""
-
-    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_adam(self, backend, dtype):
-        rng = np.random.default_rng(4)
-        start = _mixed(rng, (17, 6), dtype)
-        grads = [_mixed(rng, (17, 6), dtype) for _ in range(5)]
-
-        def run(name):
-            p = Tensor(start.copy(), requires_grad=True)
-            opt = Adam([p], lr=0.05)
-            with use_backend(name):
-                for g in grads:
-                    p.grad = g.copy()
-                    opt.step()
-            return p.data
-
-        assert run(backend).tobytes() == run("numpy").tobytes()
-
-    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_sgd(self, backend, momentum):
-        rng = np.random.default_rng(5)
-        start = _mixed(rng, (13, 4), np.float64)
-        grads = [_mixed(rng, (13, 4), np.float64) for _ in range(5)]
-
-        def run(name):
-            p = Tensor(start.copy(), requires_grad=True)
-            opt = SGD([p], lr=0.1, momentum=momentum)
-            with use_backend(name):
-                for g in grads:
-                    p.grad = g.copy()
-                    opt.step()
-            return p.data
-
-        assert run(backend).tobytes() == run("numpy").tobytes()
-
-
-# --------------------------------------------------------------------- #
-# Pairwise-sum replication                                               #
-# --------------------------------------------------------------------- #
-class TestPairwiseSum:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("n", [0, 1, 5, 8, 9, 64, 128, 129, 513, 4097])
-    def test_matches_numpy_sum(self, dtype, n):
-        rng = np.random.default_rng(n)
-        a = _mixed(rng, (n,), dtype) if n else np.empty(0, dtype)
-        got = B._pairwise_sum(a, 0, n, dtype(0.0))
-        want = np.sum(a, dtype=dtype)
-        assert np.asarray(got, dtype=dtype).tobytes() == want.tobytes()
-
-
-# --------------------------------------------------------------------- #
-# NodeSampler: rng.choice replication                                    #
-# --------------------------------------------------------------------- #
-class TestNodeSampler:
-    @pytest.mark.parametrize("n,k", [
-        (10, 1), (10, 10), (100, 7), (2048, 512),       # Floyd path
-        (10001, 300), (10050, 2048), (20000, 5000),     # tail path
-    ])
-    def test_bit_identical_stream_and_state(self, n, k):
-        sampler = NodeSampler(n, k)
-        ref = np.random.default_rng(42)
-        rep = np.random.default_rng(42)
-        for _ in range(4):
-            want = ref.choice(n, size=k, replace=False)
-            got = sampler.replicated_sample(rep)
-            assert np.array_equal(want, np.asarray(got))
-            assert repr(ref.bit_generator.state) \
-                == repr(rep.bit_generator.state)
-
-    def test_buffer_is_reused(self):
-        sampler = NodeSampler(100, 9)
-        rng = np.random.default_rng(0)
-        first = sampler.replicated_sample(rng)
-        second = sampler.replicated_sample(rng)
-        assert first is second  # same preallocated buffer
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            NodeSampler(10, 0)
-        with pytest.raises(ValueError):
-            NodeSampler(10, 11)
-
-    def test_usable_until_proven_otherwise(self):
-        sampler = NodeSampler(50, 5)
-        assert sampler.usable()
-        sampler._verified = False
-        assert not sampler.usable()
-        # the fallback still delivers the exact rng.choice stream
-        ref = np.random.default_rng(9)
-        rep = np.random.default_rng(9)
-        want = ref.choice(50, size=5, replace=False)
-        got = sampler.replicated_sample(rep)
-        assert np.array_equal(want, got)
-
-
-# --------------------------------------------------------------------- #
-# Dispatch accounting                                                    #
+# Per-op call counts                                                     #
 # --------------------------------------------------------------------- #
 class TestOpCounts:
     def test_counts_accumulate_and_reset(self):
@@ -405,47 +126,15 @@ class TestOpCounts:
         g = small_graph()
         workspace_cache().clear()
         model = AnECI(g.num_features, num_communities=3, epochs=3,
-                      seed=0, backend="compiled", dtype="float64")
+                      seed=0, dtype="float64")
         model.fit(g)
         counts = op_counts()
-        active = {op: c for op, c in counts.items()
-                  if c["fused"] or c["numpy"]}
-        assert {"gcn_layer", "bce", "softmax", "adam"} <= set(active)
-        for c in active.values():
-            assert c["fused"] >= 0 and c["numpy"] >= 0
-        if not NUMBA_AVAILABLE:
-            # no numba → every op honestly reports the numpy fallback
-            # (sampling may still hit the replicated fast path)
-            for op, c in active.items():
-                if op != "sample":
-                    assert c["fused"] == 0
+        assert {"gcn_layer", "bce", "softmax", "adam"} <= set(counts)
+        # One numpy implementation: every call lands in "numpy".
+        assert all(c["fused"] == 0 and c["numpy"] > 0
+                   for c in counts.values())
+        # One Adam step per parameter per epoch.
+        num_params = len(list(model.encoder.parameters()))
+        assert counts["adam"]["numpy"] == 3 * num_params
         reset_op_counts()
-        assert all(c["fused"] == 0 and c["numpy"] == 0
-                   for c in op_counts().values())
-
-
-# --------------------------------------------------------------------- #
-# Compiled kernels (only meaningful where numba is installed)            #
-# --------------------------------------------------------------------- #
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-class TestCompiledKernels:
-    def test_probe_reports_ops(self):
-        ops = B._probe_compiled_kernels()
-        assert isinstance(ops, dict)
-        # Probes compare kernel bytes against the numpy reference; a
-        # False here means the fallback (still bit-exact) is in use.
-        assert set(ops) >= {"spmm", "gcn_layer", "bce", "softmax",
-                            "adam", "sgd"}
-
-    def test_fused_ops_hit_under_compiled_fit(self):
-        backend = resolve_backend("compiled")
-        if not any(backend.fused_ops().values()):
-            pytest.skip("no compiled kernel passed its probe")
-        reset_op_counts()
-        g = small_graph()
-        workspace_cache().clear()
-        model = AnECI(g.num_features, num_communities=3, epochs=3,
-                      seed=0, backend="compiled", dtype="float64")
-        model.fit(g)
-        counts = op_counts()
-        assert any(c["fused"] > 0 for c in counts.values())
+        assert op_counts() == {}

@@ -3,15 +3,14 @@
 Covers the ``train_mode="sampled"`` path end to end:
 
 * full-batch default still reproduces the pre-change digests (both
-  backends, both dtypes) — the sampled machinery must be invisible when
-  off;
+  dtypes) — the sampled machinery must be invisible when off;
 * a sampled-mode AnECI+ fit reproduces its own pinned digests;
 * the sampled reconstruction and modularity losses are statistically
   consistent with their exact counterparts on small graphs;
 * the fanout-bounded minibatch forward is bit-identical to the full
   forward when the fanout covers every degree;
-* sampled-mode fits are bit-identical across worker counts, across
-  backends and across checkpoint/resume;
+* sampled-mode fits are bit-identical across worker counts and across
+  checkpoint/resume;
 * the config knobs validate and read their environment defaults;
 * sampled-mode workspaces never densify the reconstruction target.
 """
@@ -36,7 +35,7 @@ from repro.core.workspace import (_config_knobs, build_workspace,
                                   get_workspace)
 from repro.graph.generators import planted_partition, sparse_dcsbm
 from repro.nn import Tensor, autograd, functional as F
-from repro.nn.backend import NeighborSampler, use_backend
+from repro.nn.backend import NeighborSampler
 from repro.obs import metrics
 
 
@@ -57,7 +56,7 @@ def _model(graph, **overrides):
 
 
 # The full_f64 / full_f32 rows of tests/test_backend.py's
-# REFERENCE_HASHES — recorded on the engine BEFORE the backend layer
+# REFERENCE_HASHES — recorded on the engine BEFORE the kernel module
 # existed.  Explicit ``train_mode="full"`` must keep reproducing them.
 FULL_MODE_HASHES = {
     "float64": ("c9ae5f014985727ab443e94981e751fa",
@@ -81,14 +80,11 @@ SAMPLED_PLUS_HASHES = ("ddef7472e14bfe336fec3ab1f40ae8b0",
 # Full-batch default stays bit-identical                                 #
 # --------------------------------------------------------------------- #
 class TestFullModeUnchanged:
-    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
     @pytest.mark.parametrize("dtype", sorted(FULL_MODE_HASHES))
-    def test_explicit_full_mode_matches_prerefactor_hashes(self, backend,
-                                                           dtype):
+    def test_explicit_full_mode_matches_prerefactor_hashes(self, dtype):
         workspace_cache().clear()
         graph = small_graph()
-        model = _model(graph, backend=backend, dtype=dtype,
-                       train_mode="full")
+        model = _model(graph, dtype=dtype, train_mode="full")
         embedding = model.fit_transform(graph)
         expected_emb, expected_mem = FULL_MODE_HASHES[dtype]
         assert _hash(embedding) == expected_emb
@@ -236,19 +232,6 @@ class TestNeighborSampler:
         # fanout entries = deg exactly (all values are 1 here).
         assert np.allclose(sums, 8.0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
-    def test_sample_stream_is_backend_independent(self, backend):
-        graph = small_graph()
-        ws = build_workspace(graph, AnECIConfig(num_communities=3))
-        sampler = NeighborSampler(ws.adj_norm, 3)
-        seeds = np.arange(graph.num_nodes, dtype=np.int64)
-        with use_backend("numpy"):
-            ref = sampler.sample(seeds, np.random.default_rng(5))
-        with use_backend(backend):
-            got = sampler.sample(seeds, np.random.default_rng(5))
-        for a, b in zip(ref, got):
-            assert np.array_equal(a, b)
-
     def test_minibatch_forward_matches_full_forward_at_full_fanout(self):
         graph = small_graph()
         cfg = AnECIConfig(num_communities=3, train_mode="sampled")
@@ -315,15 +298,6 @@ class TestSampledDeterminism:
             model = _model(graph, **SAMPLED_KWARGS)
             runs.append(model.fit_transform(graph))
         assert np.array_equal(runs[0], runs[1])
-
-    def test_backends_are_bit_identical(self):
-        graph = small_graph()
-        outs = {}
-        for backend in ("numpy", "compiled"):
-            workspace_cache().clear()
-            model = _model(graph, backend=backend, **SAMPLED_KWARGS)
-            outs[backend] = model.fit_transform(graph)
-        assert np.array_equal(outs["numpy"], outs["compiled"])
 
     def test_serial_and_two_workers_are_bit_identical(self):
         graph = small_graph()
@@ -406,7 +380,7 @@ class TestConfigAndWorkspace:
         assert ws.lazy_dense
         assert ws.recon_dense is None
         assert skipped.value == before + 1
-        expected = float(graph.num_nodes) ** 2 * 8
+        expected = float(graph.num_nodes) ** 2 * ws.dtype.itemsize
         assert metrics.registry().gauge(
             "workspace.dense_skipped_bytes").value == expected
         with pytest.raises(RuntimeError, match="no dense target"):

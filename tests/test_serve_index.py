@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.backend import KernelBackend, _np_topk
+from repro.nn.backend import topk_indices
 from repro.serve.index import (ExactIndex, IVFIndex, build_index,
                                known_index_backends)
 from repro.serve.store import EmbeddingStore
@@ -46,11 +46,10 @@ def _brute_force(store, query, k, exclude=None):
 
 def test_topk_matches_full_sort():
     rng = np.random.default_rng(0)
-    backend = KernelBackend()
     for shape in [(50,), (7, 40), (3, 5)]:
         scores = rng.standard_normal(shape)
         for k in (1, 3, shape[-1], shape[-1] + 5):
-            got = backend.topk_indices(scores, k)
+            got = topk_indices(scores, k)
             flat = scores.reshape(-1, shape[-1])
             want = np.stack([
                 np.lexsort((np.arange(shape[-1]), -row))[:min(k, shape[-1])]
@@ -61,12 +60,12 @@ def test_topk_matches_full_sort():
 
 def test_topk_ties_break_toward_lower_id():
     scores = np.array([1.0, 3.0, 3.0, 2.0, 3.0])
-    assert _np_topk(scores, 3).tolist() == [1, 2, 4]
-    assert _np_topk(scores, 5).tolist() == [1, 2, 4, 3, 0]
+    assert topk_indices(scores, 3).tolist() == [1, 2, 4]
+    assert topk_indices(scores, 5).tolist() == [1, 2, 4, 3, 0]
 
 
 def test_topk_zero_k():
-    assert _np_topk(np.array([1.0, 2.0]), 0).shape == (0,)
+    assert topk_indices(np.array([1.0, 2.0]), 0).shape == (0,)
 
 
 # --------------------------------------------------------------------- #

@@ -7,9 +7,8 @@ current result file and fails when any case slowed down by more than
 ``after_s``), ``BENCH_parallel.json``
 (``benchmarks/test_perf_parallel.py``, same key — the best parallel
 median), ``BENCH_dtype.json`` (``benchmarks/test_perf_dtype.py``,
-``after_s`` = the float32 median), ``BENCH_backend.json``
-(``benchmarks/test_perf_backend.py``, ``after_s`` = the compiled-backend
-median) and ``BENCH_scale.json`` (``benchmarks/test_perf_scale.py``,
+``after_s`` = the float32 median), ``BENCH_scale.json``
+(``benchmarks/test_perf_scale.py``,
 ``after_s`` = the sampled-mode wall time — whole fit for the parity
 case, marginal per-epoch time for the sampled-only scale cases, whose
 ``before_s`` is null because no full-batch contender fits in memory)

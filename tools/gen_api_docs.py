@@ -37,22 +37,15 @@ PACKAGES = [
 #: survives regeneration because it lives here, not in docs/API.md.
 PACKAGE_NOTES = {
     "repro.nn.backend": """\
-### Backend selection
+### Kernel dispatch
 
 The training hot loops (spmm, the fused GCN layer, BCE-with-logits,
-softmax, optimizer steps, per-epoch node sampling) dispatch through the
-*active backend*, resolved once per fit from — in priority order —
-`AnECIConfig.backend`, the `REPRO_BACKEND` environment variable, or the
-`numpy` default; the global CLI `--backend` flag sets the env var.  The
-`compiled` backend uses numba `@njit(parallel=True)` kernels where
-numba is importable, probing each kernel byte-identical against the
-numpy reference at first use and permanently falling back per-op
-otherwise — so **every backend produces bit-identical embeddings** and
-the choice only changes speed.  `repro profile` reports the resolved
-backend plus the per-op fused-hit vs numpy-fallback counters
-(`op_counts()`); `benchmarks/test_perf_backend.py` tracks the speedup
-(repo-root `BENCH_backend.json`) with the embedding digests of both
-backends recorded as the equivalence evidence.
+softmax, optimizer steps, per-epoch sampling) and the serving index's
+GEMM and top-k each call one plain numpy function here — the engine's
+historical expressions, pinned by the full-fit digests in
+`tests/test_backend.py`.  Every call is counted per op; `repro profile`
+prints the counts and `op_counts()` returns them as
+`{op: {"fused": 0, "numpy": calls}}`.
 """,
     "repro.core": """\
 ### Performance guide
