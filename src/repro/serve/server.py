@@ -78,6 +78,7 @@ __all__ = ["EmbeddingServer", "load_generator", "percentile"]
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable",
             504: "Gateway Timeout"}
 
@@ -597,9 +598,10 @@ class EmbeddingServer:
                 try:
                     request = await self._read_request(reader)
                 except _HttpError as exc:
-                    # Framing violations (oversized / garbled
-                    # Content-Length) leave unread bytes on the wire:
-                    # answer, then close instead of trying to resync.
+                    # Framing violations (over-long lines, oversized /
+                    # garbled Content-Length) leave unread bytes on the
+                    # wire: answer, then close instead of trying to
+                    # resync.
                     await self._respond(writer, exc.status,
                                         {"error": str(exc)},
                                         keep_alive=False)
@@ -628,7 +630,9 @@ class EmbeddingServer:
                 conn.busy = False
                 if not keep_alive:
                     break
-        except (ConnectionResetError, BrokenPipeError, asyncio.LimitOverrunError):
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.IncompleteReadError):
+            # The client hung up, possibly mid-body: nobody to answer.
             pass
         finally:
             self._conns.discard(conn)
@@ -661,7 +665,7 @@ class EmbeddingServer:
             metrics.registry().counter(f"serve.errors.{status}").inc()
 
     async def _read_request(self, reader):
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
@@ -670,7 +674,7 @@ class EmbeddingServer:
             return None
         content_length = 0
         while True:
-            header = await reader.readline()
+            header = await _read_line(reader)
             if not header or header in (b"\r\n", b"\n"):
                 break
             name, _, value = header.decode("latin-1").partition(":")
@@ -788,6 +792,18 @@ class EmbeddingServer:
         except ValueError:
             raise _HttpError(400, "k must be an integer") from None
         return vector, max(1, min(k, self.serving.num_nodes))
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line over the stream's 64 KiB limit
+    is answered with 431."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        # readline reports a LimitOverrunError as ValueError, having
+        # already discarded the buffered part of the line.
+        raise _HttpError(431, "request line or header field exceeds the "
+                              "64 KiB line limit") from None
 
 
 class _HttpError(RuntimeError):

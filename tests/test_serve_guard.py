@@ -4,6 +4,7 @@ chaos acceptance matrix (no wrong 200s under injected faults)."""
 
 import asyncio
 import json
+import logging
 import time
 import warnings
 
@@ -357,6 +358,66 @@ def test_oversized_and_garbled_bodies_rejected(tmp_path):
         await srv.stop()
 
     asyncio.run(scenario())
+
+
+#: Past asyncio's default 64 KiB StreamReader line limit.
+_OVERLONG = 70_000
+
+
+def _asyncio_errors(caplog):
+    return [r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR]
+
+
+@pytest.mark.parametrize("payload", [
+    b"GET /" + b"a" * _OVERLONG + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * _OVERLONG + b"\r\n\r\n",
+], ids=["request_line", "header_line"])
+def test_overlong_line_answers_431(tmp_path, caplog, payload):
+    _publish(tmp_path, "v1", seed=1)
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    counter = metrics.registry().counter("serve.errors.431")
+
+    async def scenario():
+        srv = EmbeddingServer(str(tmp_path))
+        await srv.start()
+        before = counter.value
+        status, headers, body = await _raw(srv.port, payload)
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert b"64 KiB" in body
+        assert counter.value == before + 1
+        assert srv.stats()["guard"]["errors"]["by_status"] == {"431": 1}
+        status, _, health = await _get(srv.port, "/healthz")
+        assert status == 200 and health["status"] == "ok"
+        await srv.stop()
+
+    asyncio.run(scenario())
+    assert _asyncio_errors(caplog) == []
+
+
+def test_truncated_body_closes_quietly(tmp_path, caplog):
+    _publish(tmp_path, "v1", seed=1)
+    caplog.set_level(logging.ERROR, logger="asyncio")
+
+    async def scenario():
+        srv = EmbeddingServer(str(tmp_path))
+        await srv.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", srv.port)
+        # 10 of the 100 announced body bytes, then the client hangs up.
+        writer.write(b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: 100\r\n\r\n" + b"{\"node\": 1}")
+        await writer.drain()
+        writer.write_eof()
+        assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+        writer.close()
+        assert srv.stats()["guard"]["errors"]["by_status"] == {}
+        status, _, health = await _get(srv.port, "/healthz")
+        assert status == 200 and health["status"] == "ok"
+        await srv.stop()
+
+    asyncio.run(scenario())
+    assert _asyncio_errors(caplog) == []
 
 
 # --------------------------------------------------------------------- #
