@@ -30,7 +30,7 @@ __all__ = ["NeighborSampler", "stable_softmax", "spmm", "gcn_layer_forward",
 
 
 # --------------------------------------------------------------------- #
-# Dispatch counters                                                      #
+# Op counters                                                            #
 # --------------------------------------------------------------------- #
 
 #: op name -> calls since the last reset.
