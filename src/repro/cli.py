@@ -203,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sq.add_argument("--mode", choices=["similar", "community"],
                     default="similar")
     sq.add_argument("-k", "--k", type=int, default=10)
-    sq.add_argument("--index", default=None,
-                    help="index backend (default: $REPRO_SERVE_INDEX, "
-                         "else exact)")
     sq.add_argument("--retries", type=int, default=2,
                     help="jittered-backoff retries on transient store/"
                          "index failures (default 2)")
@@ -218,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--store", required=True, metavar="DIR")
     sr.add_argument("--host", default="127.0.0.1")
     sr.add_argument("--port", type=int, default=8707)
-    sr.add_argument("--index", default=None,
-                    help="index backend (default: $REPRO_SERVE_INDEX, "
-                         "else exact)")
     sr.add_argument("--queue", type=int, default=None,
                     help="admission queue bound (default: "
                          "$REPRO_SERVE_QUEUE, else 1024; 0 = unbounded)")
@@ -670,7 +664,19 @@ def cmd_serve(args) -> int:
         return 0
 
     if verb == "query":
-        from .serve import EmbeddingStore, build_index, retry_call
+        from .serve import EmbeddingStore, ExactIndex, retry_call
+
+        vector = None
+        if args.vector is not None:
+            try:
+                vector = np.asarray(
+                    [float(v) for v in args.vector.split(",")])
+            except ValueError:
+                pass
+            if vector is None or not np.isfinite(vector).all():
+                print("serve query --vector needs finite numbers, got "
+                      f"{args.vector!r}", file=sys.stderr)
+                return 2
 
         def _answer():
             # The whole load→index→query pipeline retries as one unit:
@@ -678,10 +684,8 @@ def cmd_serve(args) -> int:
             # reloads the store, which falls back down the version
             # pointer history if the newest shards really are damaged.
             serving = EmbeddingStore(args.store).load()
-            index = build_index(serving, args.index)
-            if args.vector is not None:
-                vector = np.asarray(
-                    [float(v) for v in args.vector.split(",")])
+            index = ExactIndex(serving)
+            if vector is not None:
                 ids, scores = index.query_vector(vector, args.k)
                 mode = "vector"
             elif args.node is not None:
@@ -719,7 +723,7 @@ def cmd_serve(args) -> int:
 
         async def _run() -> None:
             server = EmbeddingServer(args.store, host=args.host,
-                                     port=args.port, index_spec=args.index,
+                                     port=args.port,
                                      queue_limit=args.queue,
                                      deadline_ms=args.deadline_ms)
             await server.start()

@@ -12,10 +12,8 @@ Three layers turn a finished fit into a high-throughput query surface:
     previous version exactly like ``CheckpointManager.load_latest``.
 
 :mod:`repro.serve.index`
-    k-NN over the L2-normalised embeddings with two backends —
-    ``exact`` (blocked matmul reference) and ``ivf`` (k-means coarse
-    quantisation, calibrated against exact recall@10 with an honest
-    fallback) — answering ``similar_nodes``, ``same_community`` and
+    Exact k-NN over the L2-normalised embeddings (a blocked matmul over
+    the mmap rows), answering ``similar_nodes``, ``same_community`` and
     ``query_vector``.
 
 :mod:`repro.serve.server`
@@ -30,7 +28,7 @@ Three layers turn a finished fit into a high-throughput query surface:
     admission (``REPRO_SERVE_QUEUE``) with ``503`` load shedding,
     per-request deadlines (``REPRO_SERVE_DEADLINE_MS``) answering
     ``504``, a :class:`~repro.serve.guard.CircuitBreaker` that steps
-    the backend down ``ivf → exact → cache-only`` on consecutive
+    the backend down ``exact → cache-only`` on consecutive
     failures and probes its way back up, graceful drain on ``stop()``,
     and deterministic client-side retry/backoff helpers.
 
@@ -41,13 +39,12 @@ Models export with ``AnECI.export_serving(dir)`` /
 
 from .cache import LRUCache
 from .guard import CircuitBreaker, backoff_delays, retry_call
-from .index import (ExactIndex, IVFIndex, build_index, known_index_backends)
+from .index import ExactIndex
 from .server import EmbeddingServer, load_generator
 from .store import (EmbeddingStore, ServingStore, StoreError, export_store)
 
 __all__ = [
     "EmbeddingStore", "ServingStore", "StoreError", "export_store",
-    "ExactIndex", "IVFIndex", "build_index", "known_index_backends",
-    "LRUCache", "EmbeddingServer", "load_generator",
+    "ExactIndex", "LRUCache", "EmbeddingServer", "load_generator",
     "CircuitBreaker", "backoff_delays", "retry_call",
 ]

@@ -15,7 +15,7 @@ Admission control & load shedding
 
 Graceful degradation
     A :class:`CircuitBreaker` owns a *degradation ladder* of backends —
-    typically ``ivf → exact → cache-only`` — and trips one level down
+    the server's is ``exact → cache-only`` — and trips one level down
     after ``REPRO_SERVE_BREAKER_THRESHOLD`` consecutive index errors or
     deadline breaches.  At ``cache-only`` the server answers LRU hits
     and sheds misses.  After ``REPRO_SERVE_BREAKER_COOLDOWN_MS`` the
@@ -128,7 +128,7 @@ class CircuitBreaker:
     recovery probes.
 
     ``ladder`` is an ordered list of backend names, best first, ending
-    with :data:`CACHE_ONLY` (e.g. ``["ivf", "exact", "cache-only"]``).
+    with :data:`CACHE_ONLY` (e.g. ``["exact", "cache-only"]``).
     ``record_failure`` after ``threshold`` consecutive failures steps
     ``level`` one rung down; once ``cooldown_s`` has elapsed the next
     :meth:`begin_operation` returns the next *better* backend as a

@@ -30,7 +30,7 @@ Resilience guard (:mod:`repro.serve.guard`)
     future and answers ``504`` rather than stalling the connection.  A
     :class:`~repro.serve.guard.CircuitBreaker` trips on consecutive
     index errors / deadline breaches and steps the serving backend down
-    ``ivf → exact → cache-only``, re-probing half-open after a cooldown;
+    ``exact → cache-only``, re-probing half-open after a cooldown;
     ``/healthz`` reports ``ok|degraded|draining`` (non-200 when not
     ``ok``).  :meth:`EmbeddingServer.stop` drains gracefully: the
     listener closes, in-flight requests finish, the run-ledger entry is
@@ -71,7 +71,7 @@ from ..obs import store as runledger
 from ..resilience import faultinject
 from . import guard
 from .cache import LRUCache
-from .index import ExactIndex, build_index
+from .index import ExactIndex
 from .store import EmbeddingStore
 
 __all__ = ["EmbeddingServer", "load_generator", "percentile"]
@@ -136,8 +136,6 @@ class EmbeddingServer:
     host, port:
         Bind address; ``port=0`` picks a free port (see ``self.port``
         after :meth:`start`).
-    index_spec:
-        Index backend name (``None`` → ``REPRO_SERVE_INDEX`` → exact).
     batch_window_ms:
         Micro-batch coalescing window (``None`` →
         ``REPRO_SERVE_BATCH_WINDOW_MS``, default 2.0; 0 batches only
@@ -164,11 +162,10 @@ class EmbeddingServer:
     """
 
     def __init__(self, directory: str, host: str = "127.0.0.1",
-                 port: int = 0, index_spec: str | None = None,
+                 port: int = 0,
                  batch_window_ms: float | None = None,
                  cache_size: int | None = None,
                  max_batch: int | None = None,
-                 index_kwargs: dict | None = None,
                  queue_limit: int | None = None,
                  deadline_ms: float | None = None,
                  max_body: int | None = None,
@@ -178,8 +175,6 @@ class EmbeddingServer:
         self.directory = str(directory)
         self.host = host
         self.port = int(port)
-        self._index_spec = index_spec
-        self._index_kwargs = dict(index_kwargs or {})
         if batch_window_ms is None:
             batch_window_ms = float(
                 os.environ.get("REPRO_SERVE_BATCH_WINDOW_MS") or 2.0)
@@ -221,30 +216,23 @@ class EmbeddingServer:
     # -- store lifecycle -------------------------------------------------- #
     def reload(self) -> str:
         """(Re)load the newest valid store version, rebuild the index
-        ladder and reset the circuit breaker.
+        and reset the circuit breaker.
 
         Swapping ``self.serving`` / ``self.index`` is a plain attribute
         assignment on the event-loop thread, so every batch executed
         after the swap — including requests enqueued before it — runs
-        against the new version and caches under its key.  The
-        degradation ladder is rebuilt too (``<configured> → exact →
-        cache-only``) and the breaker starts closed: a freshly published
+        against the new version and caches under its key.  The breaker
+        (ladder ``exact → cache-only``) starts closed: a freshly published
         version gets a clean bill of health until it proves otherwise.
         Entries cached under the replaced version are evicted so the
         whole LRU budget belongs to the live version.
         """
         serving = self._store.load()
-        index = build_index(serving, self._index_spec, **self._index_kwargs)
-        indexes = {index.name: index}
-        ladder = [index.name]
-        if index.name != "exact":
-            indexes["exact"] = ExactIndex(serving)
-            ladder.append("exact")
-        ladder.append(guard.CACHE_ONLY)
+        index = ExactIndex(serving)
+        ladder = [index.name, guard.CACHE_ONLY]
         previous = getattr(self, "serving", None)
         self.serving = serving
         self.index = index
-        self._indexes = indexes
         self.breaker = guard.CircuitBreaker(
             ladder, threshold=self._breaker_threshold,
             cooldown_s=self._breaker_cooldown_s)
@@ -468,7 +456,7 @@ class EmbeddingServer:
                         503, "degraded to cache-only serving",
                         retry_after=retry_after))
             return
-        index = self._indexes[backend_name]
+        index = self.index
         started = time.perf_counter()
         try:
             self._fire_index_faults()
@@ -599,9 +587,9 @@ class EmbeddingServer:
                     request = await self._read_request(reader)
                 except _HttpError as exc:
                     # Framing violations (over-long lines, oversized /
-                    # garbled Content-Length) leave unread bytes on the
-                    # wire: answer, then close instead of trying to
-                    # resync.
+                    # garbled Content-Length, an unparseable target)
+                    # leave unread bytes on the wire: answer, then close
+                    # instead of trying to resync.
                     await self._respond(writer, exc.status,
                                         {"error": str(exc)},
                                         keep_alive=False)
@@ -695,7 +683,10 @@ class EmbeddingServer:
                      f"{self.max_body}-byte limit (REPRO_SERVE_MAX_BODY)")
         body = (await reader.readexactly(content_length)
                 if content_length else b"")
-        split = urlsplit(target)
+        try:
+            split = urlsplit(target)
+        except ValueError as exc:  # e.g. "//[": an invalid IPv6 netloc
+            raise _HttpError(400, f"bad request target: {exc}") from None
         params = {key: values[-1]
                   for key, values in parse_qs(split.query).items()}
         return method.upper(), split.path, params, body
@@ -764,6 +755,10 @@ class EmbeddingServer:
         return max(1, min(k, self.serving.num_nodes))
 
     def _vector_request(self, params, body):
+        """The ``(vector, k)`` of a ``/query``, rejecting malformed input
+        with ``400`` before admission so bad client input never reaches
+        the index (where an exception would count as a breaker failure).
+        """
         vector = None
         k = None
         if body:
@@ -771,7 +766,11 @@ class EmbeddingServer:
                 payload = json.loads(body.decode())
             except ValueError:
                 raise _HttpError(400, "body must be JSON") from None
+            if not isinstance(payload, dict):
+                raise _HttpError(400, "body must be a JSON object")
             vector = payload.get("vector")
+            if vector is not None and not isinstance(vector, list):
+                raise _HttpError(400, "vector must be a JSON array")
             k = payload.get("k")
         if vector is None and "vector" in params:
             vector = params["vector"].split(",")
@@ -785,12 +784,12 @@ class EmbeddingServer:
         if vector.shape != (self.serving.dim,):
             raise _HttpError(400, f"vector must have dim "
                                   f"{self.serving.dim}, got {vector.size}")
+        if not np.isfinite(vector).all():
+            raise _HttpError(400, "vector components must be finite")
         if k is None:
-            k = params.get("k", 10)
-        try:
-            k = int(k)
-        except ValueError:
-            raise _HttpError(400, "k must be an integer") from None
+            return vector, self._k_param(params)
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise _HttpError(400, "k must be an integer")
         return vector, max(1, min(k, self.serving.num_nodes))
 
 

@@ -12,8 +12,9 @@ EXAMPLES = sorted(
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs(path, monkeypatch):
-    """Run each example with load_dataset patched to a tiny scale."""
+def test_example_runs(path, monkeypatch, tmp_path):
+    """Run each example with load_dataset patched to a tiny scale, from a
+    temporary working directory so its outputs stay out of the repo."""
     import repro.graph.datasets as datasets
 
     original = datasets.load_dataset
@@ -24,5 +25,8 @@ def test_example_runs(path, monkeypatch):
     # Examples import load_dataset through the package root.
     import repro
     monkeypatch.setattr(datasets, "load_dataset", small)
+    monkeypatch.chdir(tmp_path)
     with mock.patch.object(repro, "load_dataset", small, create=True):
         runpy.run_path(str(path), run_name="__main__")
+    if path.stem == "full_reproduction_report":
+        assert (tmp_path / "reproduction_report.md").is_file()

@@ -1,11 +1,10 @@
-"""Exactness, determinism and calibration tests for the k-NN index."""
+"""Exactness and determinism tests for the k-NN index."""
 
 import numpy as np
 import pytest
 
 from repro.nn.backend import topk_indices
-from repro.serve.index import (ExactIndex, IVFIndex, build_index,
-                               known_index_backends)
+from repro.serve.index import ExactIndex
 from repro.serve.store import EmbeddingStore
 
 
@@ -148,58 +147,3 @@ def test_same_community_uses_cached_argmax(clustered_store):
     assert np.array_equal(ids, want)
     # The argmax is computed once and reused (cached on the store).
     assert store.communities() is store.communities()
-
-
-# --------------------------------------------------------------------- #
-# IVF index                                                              #
-# --------------------------------------------------------------------- #
-
-def test_ivf_meets_recall_floor(clustered_store):
-    store, _, _ = clustered_store
-    ivf = IVFIndex(store, cells=24, probes=2)
-    assert ivf.recall_at10 is not None
-    assert ivf.recall_at10 >= 0.95
-    assert ivf._fallback is None
-    # IVF answers agree with exact on an easy clustered query.
-    exact = ExactIndex(store)
-    e_ids, _ = exact.similar_nodes(42, 10)
-    i_ids, _ = ivf.similar_nodes(42, 10)
-    overlap = len(set(e_ids.tolist()) & set(i_ids.tolist()))
-    assert overlap >= 9
-
-
-def test_ivf_unreachable_floor_falls_back_to_exact(clustered_store):
-    store, _, _ = clustered_store
-    with pytest.warns(RuntimeWarning, match="serving exact search"):
-        ivf = IVFIndex(store, cells=8, probes=1, min_recall=1.01)
-    assert ivf._fallback is not None
-    exact = ExactIndex(store)
-    for node in (5, 99):
-        e_ids, e_scores = exact.similar_nodes(node, 6)
-        f_ids, f_scores = ivf.similar_nodes(node, 6)
-        assert np.array_equal(e_ids, f_ids)
-        assert e_scores.tobytes() == f_scores.tobytes()
-
-
-def test_ivf_probe_widening_raises_recall(clustered_store):
-    store, _, _ = clustered_store
-    # Starting from 1 probe on many cells, calibration must widen the
-    # probe count until the floor holds.
-    ivf = IVFIndex(store, cells=40, probes=1)
-    assert ivf.recall_at10 >= 0.95
-    assert ivf.probes > 1 or ivf.recall_at10 >= 0.95
-
-
-# --------------------------------------------------------------------- #
-# registry                                                               #
-# --------------------------------------------------------------------- #
-
-def test_registry_and_env_selection(clustered_store, monkeypatch):
-    store, _, _ = clustered_store
-    assert set(known_index_backends()) >= {"exact", "ivf"}
-    assert isinstance(build_index(store), ExactIndex)
-    assert isinstance(build_index(store, "exact"), ExactIndex)
-    monkeypatch.setenv("REPRO_SERVE_INDEX", "exact")
-    assert isinstance(build_index(store), ExactIndex)
-    with pytest.raises(ValueError, match="unknown index backend"):
-        build_index(store, "nope")

@@ -3,9 +3,11 @@ cache versioning, and the shared strict-JSON serializer."""
 
 import asyncio
 import json
+import logging
 import math
 
 import numpy as np
+import pytest
 
 from repro import jsonio
 from repro.serve import EmbeddingServer, EmbeddingStore, LRUCache
@@ -181,6 +183,63 @@ def test_community_query_vector_and_errors(tmp_path):
     stats = out["stats"][1]
     assert stats["requests"] >= 7
     assert stats["latency_ms"]["p50"] is not None
+
+
+#: Store dimension of ``_publish`` (the /query vector length).
+_DIM = 12
+_ZEROS = [0] * (_DIM - 1)
+
+
+@pytest.mark.parametrize("method, target, body", [
+    ("POST", "/query", b"[1,2,3,4]"),
+    ("POST", "/query", b'"x"'),
+    ("POST", "/query", json.dumps({"vector": [0.5] * _DIM,
+                                   "k": [1]}).encode()),
+    ("POST", "/query", json.dumps({"vector": [0.5] * _DIM,
+                                   "k": True}).encode()),
+    ("POST", "/query", json.dumps({"vector": ["nan"] + _ZEROS}).encode()),
+    ("POST", "/query",
+     b'{"vector": [1e400' + b", 0" * (_DIM - 1) + b"]}"),
+    ("GET", "/query?vector=nan" + ",1" * (_DIM - 1), b""),
+    ("POST", "/query", json.dumps({"vector": "1" * _DIM}).encode()),
+], ids=["body_list", "body_string", "k_list", "k_bool", "vector_nan",
+        "vector_overflow", "query_param_nan", "vector_string"])
+def test_malformed_query_answers_400_before_admission(tmp_path, caplog,
+                                                      method, target, body):
+    """Bad ``/query`` input is the client's fault: ``400``, never a
+    ``500`` or a ``200`` over non-finite scores, and never a breaker
+    failure (which could degrade the server to cache-only)."""
+    _publish(tmp_path, "v1", seed=4)
+    caplog.set_level(logging.ERROR, logger="asyncio")
+
+    async def scenario():
+        srv = EmbeddingServer(str(tmp_path), batch_window_ms=0.0)
+        await srv.start()
+        assert srv.serving.dim == _DIM
+        failures = srv.breaker.failures_total
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       srv.port)
+        writer.write((f"{method} {target} HTTP/1.1\r\nHost: t\r\n"
+                      f"Content-Length: {len(body)}\r\n\r\n").encode()
+                     + body)
+        await writer.drain()
+        status, _, raw = await _read_response(reader)
+        writer.close()
+        assert status == 400, raw
+        assert srv.breaker.failures_total == failures
+        await srv.stop()
+
+    asyncio.run(scenario())
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
+def test_cli_query_rejects_non_finite_vector(tmp_path, capsys):
+    from repro.cli import main
+    _publish(tmp_path, "v1", seed=4)
+    vector = ",".join(["nan"] + ["1"] * (_DIM - 1))
+    assert main(["serve", "query", "--store", str(tmp_path),
+                 "--vector", vector]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_load_generator_round_trip(tmp_path):

@@ -14,8 +14,7 @@ case, marginal per-epoch time for the sampled-only scale cases, whose
 ``before_s`` is null because no full-batch contender fits in memory)
 and ``BENCH_serve.json`` (``benchmarks/test_perf_serve.py``,
 ``after_s`` = seconds per served request for the load-generator cases,
-per-batch/per-lookup/per-query time for the IVF, cached-argmax and
-mmap cases; throughput-style fields like ``rps`` ride along as
+per-lookup/per-query time for the cached-argmax and mmap cases; throughput-style fields like ``rps`` ride along as
 context).
 
 A missing baseline, or a baseline written by a smoke run (``"smoke":

@@ -293,16 +293,11 @@ BLAKE2b-checksummed; `EmbeddingStore.load()` maps the newest usable
 version back read-only (`np.load(mmap_mode="r")`), warning and falling
 back past a corrupt head exactly like the checkpoint store.
 
-Indexes answer cosine k-NN with a deterministic total order (score
-descending, then node id ascending) and a bit-identity contract between
-batched and serial queries: at import the backend probes whether BLAS
-GEMM columns equal per-query GEMV bit-for-bit and degrades honestly if
-not.  `build_index(store)` resolves `REPRO_SERVE_INDEX` (`exact` |
-`ivf`); the IVF backend clusters the store with `repro.cluster.kmeans`
-(`REPRO_SERVE_CELLS`/`REPRO_SERVE_PROBES`) and widens its probe count
-against exact search until recall@10 ≥ 0.95, falling back to exact —
-with a warning and a `serve_index_fallback` event — when the floor is
-unreachable.
+`ExactIndex(store)` answers exact cosine k-NN with a deterministic
+total order (score descending, then node id ascending) and a
+bit-identity contract between batched and serial queries: it probes
+once whether BLAS GEMM columns equal per-query GEMV bit-for-bit and
+scores one GEMV per query if not.
 
 The asyncio server micro-batches requests inside
 `REPRO_SERVE_BATCH_WINDOW_MS` (mixed `k`s batch at `max(k)` and trim —
@@ -317,7 +312,7 @@ admission is bounded (`REPRO_SERVE_QUEUE`; overflow sheds `503` +
 `Retry-After` + `serve.shed`), bodies over `REPRO_SERVE_MAX_BODY` are
 refused with `413` before they are read, every request carries a
 deadline (`REPRO_SERVE_DEADLINE_MS`; breach answers `504`), and a
-`CircuitBreaker` steps the backend down `ivf → exact → cache-only`
+`CircuitBreaker` steps the backend down `exact → cache-only`
 after `REPRO_SERVE_BREAKER_THRESHOLD` consecutive failures, probing
 half-open every `REPRO_SERVE_BREAKER_COOLDOWN_MS` until it recovers.
 `/healthz` reports `ok|degraded|draining` (non-200 when not ok);
