@@ -1,13 +1,18 @@
 """Tests for high-order proximity (paper Eq. 1 and Section IV-C3)."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (high_order_proximity, modularity_degree,
+from repro.graph import (high_order_proximity, katz_proximity,
+                         load_dataset, modularity_degree,
                          proximity_statistics)
+from repro.graph.generators import sparse_dcsbm
 
 
 def path_graph(n: int) -> sp.csr_matrix:
@@ -90,6 +95,54 @@ class TestHighOrderProximity:
             assert full[row, kept].min() >= full[row, np.setdiff1d(
                 np.flatnonzero(full[row]), top)].max() - 1e-12 if len(
                     np.setdiff1d(np.flatnonzero(full[row]), top)) else True
+
+
+def csr_digest(matrix: sp.csr_matrix) -> str:
+    """blake2b of ``indptr``, ``indices`` and ``data`` with their dtypes."""
+    digest = hashlib.blake2b(digest_size=16)
+    for array in (matrix.indptr, matrix.indices, matrix.data):
+        digest.update(str(array.dtype).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def graph_12k():
+    """A 12,000-node DC-SBM whose self-loop-augmented adjacency stores
+    ~1.08·10⁵ entries."""
+    return sparse_dcsbm(12_000, 10, np.random.default_rng(0),
+                        avg_degree=8.0, mixing=0.1, num_features=64)
+
+
+# Digests of the exact CSR arrays — values, the order of the indices
+# within each row, and the dtypes.  That order sets the rounding of every
+# later row sum and spmm, so any change to how Ã is computed must keep
+# reproducing these bytes, not merely close values.
+PROXIMITY_DIGESTS = {
+    "dcsbm12k_order2": "5f50ff8ab0bae224d3ff20b54ee6ecda",
+    # Weights of 1/3 are not exact in binary: the order of rounding shows.
+    "dcsbm12k_order3": "9744109f5bdcf880619d7ad1b030fa85",
+    "dcsbm12k_katz3": "dce9e8d242434d07cc5772f04eaa701b",
+    "cora015_order2": "66b8ac5494442536471bce42356d39a0",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_dcsbm_12k(self, order):
+        prox = high_order_proximity(graph_12k().adjacency, order=order)
+        assert csr_digest(prox) == PROXIMITY_DIGESTS[f"dcsbm12k_order{order}"]
+
+    def test_katz_as_the_workspace_calls_it(self):
+        prox = katz_proximity(graph_12k().adjacency, beta=0.2, order=3,
+                              self_loops=True)
+        assert csr_digest(prox) == PROXIMITY_DIGESTS["dcsbm12k_katz3"]
+
+    def test_cora(self):
+        graph = load_dataset("cora", scale=0.15, seed=0)
+        assert graph.num_nodes == 406
+        prox = high_order_proximity(graph.adjacency, order=2)
+        assert csr_digest(prox) == PROXIMITY_DIGESTS["cora015_order2"]
 
 
 class TestModularityDegree:

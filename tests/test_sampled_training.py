@@ -75,6 +75,12 @@ SAMPLED_PLUS_KWARGS = dict(train_mode="sampled", batch_nodes=512,
 SAMPLED_PLUS_HASHES = ("ddef7472e14bfe336fec3ab1f40ae8b0",
                        "3dc45a4f964b137085d84e8c7bcb060a")
 
+# AnECI (embedding, membership) digests of a two-epoch sampled fit on a
+# 12,000-node DC-SBM: large enough that its proximity may be computed in
+# row blocks, which must leave the fit bit-for-bit unchanged.
+SAMPLED_12K_HASHES = ("8f1b43e4c815805f7e5c67a15ff62676",
+                      "b59d25c40e04420589aa7f9e462d66f8")
+
 
 # --------------------------------------------------------------------- #
 # Full-batch default stays bit-identical                                 #
@@ -101,6 +107,17 @@ class TestFullModeUnchanged:
         assert model.denoise_result.num_dropped == 1577
         assert _hash(embedding) == SAMPLED_PLUS_HASHES[0]
         assert _hash(model.membership()) == SAMPLED_PLUS_HASHES[1]
+
+    def test_sampled_fit_at_12k_matches_pinned_hashes(self):
+        workspace_cache().clear()
+        graph = sparse_dcsbm(12_000, 10, np.random.default_rng(0),
+                             avg_degree=8.0, mixing=0.1, num_features=64)
+        model = AnECI(graph.num_features, num_communities=10, seed=0,
+                      epochs=2, lr=0.05, dtype="float64",
+                      **SAMPLED_PLUS_KWARGS)
+        embedding = model.fit_transform(graph)
+        assert _hash(embedding) == SAMPLED_12K_HASHES[0]
+        assert _hash(model.membership()) == SAMPLED_12K_HASHES[1]
 
     def test_default_train_mode_is_full(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRAIN_MODE", raising=False)
