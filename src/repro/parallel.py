@@ -55,13 +55,18 @@ from .obs import events, metrics, trace
 from .resilience import faultinject
 
 __all__ = [
-    "ChildTelemetry", "ParallelExecutor", "TaskOutcome", "parallel_map",
-    "resolve_workers", "default_task_retries", "default_task_timeout",
+    "ChildTelemetry", "ParallelExecutor", "TaskOutcome", "in_worker",
+    "parallel_map", "resolve_workers", "default_task_retries", "default_task_timeout",
     "default_task_backoff",
 ]
 
 #: Set in worker processes so nested code resolves to serial execution.
 _IN_WORKER = False
+
+
+def in_worker() -> bool:
+    """Whether this process is a :class:`ParallelExecutor` pool worker."""
+    return _IN_WORKER
 
 
 def default_task_retries() -> int:

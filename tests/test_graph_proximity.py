@@ -9,10 +9,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import parallel
+from repro.core import AnECIConfig
+from repro.core.workspace import build_workspace
 from repro.graph import (high_order_proximity, katz_proximity,
                          load_dataset, modularity_degree,
                          proximity_statistics)
 from repro.graph.generators import sparse_dcsbm
+from repro.graph.proximity import (_BLOCK_MIN_ENTRIES, _blocked_proximity,
+                                   _row_cuts)
+from repro.graph import proximity as proximity_module
+from repro.obs import trace
 
 
 def path_graph(n: int) -> sp.csr_matrix:
@@ -75,27 +82,6 @@ class TestHighOrderProximity:
         with pytest.raises(ValueError):
             high_order_proximity(path_graph(3), order=2, weights=[1.0, -1.0])
 
-    def test_row_truncation_bounds_entries(self):
-        adj = sp.csr_matrix(np.ones((8, 8)) - np.eye(8))
-        prox = high_order_proximity(adj, order=2, max_entries_per_row=3)
-        counts = np.diff(prox.indptr)
-        assert np.all(counts <= 3)
-
-    def test_truncation_keeps_largest(self):
-        adj = path_graph(6)
-        full = high_order_proximity(adj, order=2).toarray()
-        trunc = high_order_proximity(adj, order=2,
-                                     max_entries_per_row=2).toarray()
-        # Every kept entry corresponds to a top-2 entry of the full row.
-        for row in range(6):
-            kept = np.flatnonzero(trunc[row])
-            top = np.argsort(full[row])[::-1][:2]
-            assert set(kept).issubset(set(np.flatnonzero(full[row])))
-            assert len(kept) <= 2
-            assert full[row, kept].min() >= full[row, np.setdiff1d(
-                np.flatnonzero(full[row]), top)].max() - 1e-12 if len(
-                    np.setdiff1d(np.flatnonzero(full[row]), top)) else True
-
 
 def csr_digest(matrix: sp.csr_matrix) -> str:
     """blake2b of ``indptr``, ``indices`` and ``data`` with their dtypes."""
@@ -143,6 +129,134 @@ class TestPinnedBytes:
         assert graph.num_nodes == 406
         prox = high_order_proximity(graph.adjacency, order=2)
         assert csr_digest(prox) == PROXIMITY_DIGESTS["cora015_order2"]
+
+
+def reference_proximity(adjacency, weights, self_loops):
+    """Eq. 1 as one loop over the whole matrix — how ``Ã`` was computed
+    before it was split into row blocks."""
+    base = sp.csr_matrix(adjacency, dtype=np.float64)
+    if self_loops:
+        base = base + sp.eye(base.shape[0], format="csr")
+    power = sp.eye(base.shape[0], format="csr")
+    total = sp.csr_matrix(base.shape, dtype=np.float64)
+    for w in weights:
+        power = (power @ base).tocsr()
+        if w:
+            total = total + w * power
+    sums = np.asarray(total.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / sums
+    inv[~np.isfinite(inv)] = 0.0
+    return (sp.diags(inv) @ total).tocsr()
+
+
+def assert_same_bytes(actual, expected):
+    assert type(actual) is type(expected)
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype, name
+        np.testing.assert_array_equal(a, e, err_msg=name)
+
+
+@st.composite
+def blocked_inputs(draw):
+    """A small weighted graph (often with isolated nodes), Eq. 1 weights
+    and arbitrary row cuts — repeated cuts make empty blocks."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    dense = np.zeros((n, n))
+    for i, j, w in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from([1.0, 0.5, 2.0, 3.0])),
+            max_size=2 * n)):
+        if i != j:
+            dense[i, j] = dense[j, i] = w
+    order = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        weights = np.full(order, 1.0 / order)
+    else:
+        beta = draw(st.floats(min_value=0.05, max_value=0.95))
+        weights = np.array([beta ** (l + 1) for l in range(order)])
+    inner = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    return (sp.csr_matrix(dense), weights, draw(st.booleans()),
+            [0, *inner, n])
+
+
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(blocked_inputs())
+    def test_blocks_concatenate_to_the_whole_matrix(self, inputs):
+        adjacency, weights, self_loops, cuts = inputs
+        expected = reference_proximity(adjacency, weights, self_loops)
+        assert_same_bytes(
+            high_order_proximity(adjacency, order=len(weights),
+                                 weights=weights, self_loops=self_loops),
+            expected)
+        assert_same_bytes(
+            _blocked_proximity(adjacency, weights, self_loops, cuts),
+            expected)
+
+    def test_sorted_rows_in_one_block_still_follow_the_whole(self):
+        # Rows 3 and 4 form an isolated edge: without self-loops each of
+        # their operands holds one entry, so a block of those rows alone
+        # is sorted while the whole matrix is not.
+        adjacency = sp.csr_matrix(np.array([
+            [0, 1, 1, 0, 0], [1, 0, 1, 0, 0], [1, 1, 0, 0, 0],
+            [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]], dtype=float))
+        weights = np.array([0.5, 0.5])
+        expected = reference_proximity(adjacency, weights, False)
+        for cuts in ([0, 3, 5], [0, 4, 5], [0, 1, 2, 3, 4, 5]):
+            assert_same_bytes(
+                _blocked_proximity(adjacency, weights, False, cuts), expected)
+
+    def test_small_graphs_run_as_one_block(self):
+        base = sp.csr_matrix(load_dataset("cora", scale=0.15,
+                                          seed=0).adjacency)
+        assert base.nnz < _BLOCK_MIN_ENTRIES
+        assert _row_cuts(base) == [0, base.shape[0]]
+
+    def test_12k_graph_is_split_by_usable_core(self, monkeypatch):
+        base = graph_12k().adjacency + sp.eye(12_000, format="csr")
+        assert base.nnz >= _BLOCK_MIN_ENTRIES
+        monkeypatch.setattr(proximity_module.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        cuts = _row_cuts(base)
+        assert len(cuts) == 4 and cuts[0] == 0 and cuts[-1] == 12_000
+        # Balanced by stored entries, not by rows.
+        entries = np.diff(base.indptr[cuts])
+        assert entries.max() - entries.min() < 0.01 * base.nnz
+        monkeypatch.setattr(parallel, "_IN_WORKER", True)
+        assert _row_cuts(base) == [0, 12_000]
+
+    def test_traced_build_nests_orders_under_the_workspace(self):
+        graph = graph_12k()
+        config = AnECIConfig(num_communities=10, dtype="float64",
+                             train_mode="sampled", batch_nodes=512)
+        tracer = trace.Tracer()
+        with trace.activate(tracer):
+            traced = build_workspace(graph, config)
+        for k in (1, 2):
+            node = tracer.find(f"workspace/build/proximity/order{k}")
+            assert node is not None and node.count == 1
+        # The span stack is back at its root: a new span is top-level.
+        with tracer.span("after"):
+            pass
+        assert "after" in tracer.root.children
+        untraced = build_workspace(graph, config)
+        assert csr_digest(traced.proximity) == csr_digest(untraced.proximity) \
+            == PROXIMITY_DIGESTS["dcsbm12k_order2"]
+
+    def test_pool_workers_run_one_block_each(self):
+        adjacency = graph_12k().adjacency
+        results = parallel.ParallelExecutor(2).map(
+            _proximity_in_worker, [(adjacency,), (adjacency,)])
+        assert results == [(True, 1, PROXIMITY_DIGESTS["dcsbm12k_order2"])] * 2
+
+
+def _proximity_in_worker(adjacency):
+    base = adjacency + sp.eye(adjacency.shape[0], format="csr")
+    return (parallel.in_worker(), len(_row_cuts(base)) - 1,
+            csr_digest(high_order_proximity(adjacency, order=2)))
 
 
 class TestModularityDegree:

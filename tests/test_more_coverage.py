@@ -82,15 +82,6 @@ class TestBaselineUnfittedPaths:
             ONE().anomaly_scores()
 
 
-class TestProximityTruncationEdge:
-    def test_truncation_no_op_when_rows_small(self):
-        from repro.graph import high_order_proximity
-        adj = sp.csr_matrix(np.array([[0, 1.0], [1.0, 0]]))
-        full = high_order_proximity(adj, order=2)
-        capped = high_order_proximity(adj, order=2, max_entries_per_row=10)
-        np.testing.assert_allclose(full.toarray(), capped.toarray())
-
-
 class TestRenderResultsTool:
     def test_summary_generation(self, tmp_path, monkeypatch):
         import runpy
