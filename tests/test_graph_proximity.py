@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from repro.graph import (high_order_proximity, katz_proximity,
 from repro.graph.generators import sparse_dcsbm
 from repro.graph.proximity import (_BLOCK_MIN_ENTRIES, _blocked_proximity,
                                    _row_cuts)
-from repro.graph import proximity as proximity_module
 from repro.obs import trace
 
 
@@ -218,14 +218,14 @@ class TestRowBlocks:
     def test_12k_graph_is_split_by_usable_core(self, monkeypatch):
         base = graph_12k().adjacency + sp.eye(12_000, format="csr")
         assert base.nnz >= _BLOCK_MIN_ENTRIES
-        monkeypatch.setattr(proximity_module.os, "sched_getaffinity",
+        monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
         cuts = _row_cuts(base)
         assert len(cuts) == 4 and cuts[0] == 0 and cuts[-1] == 12_000
         # Balanced by stored entries, not by rows.
         entries = np.diff(base.indptr[cuts])
         assert entries.max() - entries.min() < 0.01 * base.nnz
-        monkeypatch.setattr(parallel, "_IN_WORKER", True)
+        monkeypatch.setattr(parallel, "in_worker", lambda: True)
         assert _row_cuts(base) == [0, 12_000]
 
     def test_traced_build_nests_orders_under_the_workspace(self):
