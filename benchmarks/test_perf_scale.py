@@ -21,8 +21,12 @@ root (override the path with ``REPRO_BENCH_SCALE_OUT``):
 * ``proximity_100k`` — the high-order proximity ``Ã`` (order 2) of the
   perfbench ``train_sampled`` graph, computed as one row block
   (``before_s``) and in one block per usable core (``after_s``, the
-  default).  The hard gate is that both give identical CSR arrays,
-  dtypes included; the timing only feeds the tracked file.
+  default).  A separate blocked build under tracemalloc records
+  ``peak_bytes``, the ``output_bytes`` of ``Ã`` (data + indices +
+  indptr) and their ``peak_ratio``.  The hard gates, in smoke runs too,
+  are that both give identical CSR arrays, dtypes included, and that
+  the build peaks at no more than 2.5× its output; the timing only
+  feeds the tracked file.
 
 ``hardware_limited`` is true on a single core, where absolute timings
 are pessimistic; the parity and sublinearity gates do not depend on
@@ -235,6 +239,15 @@ def run_proximity(name):
                          (single.indices, split.indices),
                          (single.data, split.data)))
         del single, split
+    # Peak memory of the default (blocked) build; tracemalloc slows it,
+    # so it is kept out of the timed medians.
+    tracemalloc.start()
+    split = high_order_proximity(adjacency, order=2)
+    _, peak_bytes = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    output_bytes = split.data.nbytes + split.indices.nbytes \
+        + split.indptr.nbytes
+    del split
     before_s = statistics.median(one_block)
     after_s = statistics.median(blocked)
     result = {
@@ -248,13 +261,17 @@ def run_proximity(name):
         "after_s": round(after_s, 4),
         "speedup": round(before_s / after_s, 3),
         "identical": bool(identical),
+        "peak_bytes": int(peak_bytes),
+        "output_bytes": int(output_bytes),
+        "peak_ratio": round(peak_bytes / output_bytes, 3),
         "cpu_count": os.cpu_count() or 1,
         "hardware_limited": HARDWARE_LIMITED,
     }
     _RESULTS[name] = result
     print(f"\n[{name}] n={n} blocks={result['blocks']} "
           f"one_block={before_s:.3f}s blocked={after_s:.3f}s "
-          f"speedup={result['speedup']:.2f}x identical={identical}")
+          f"speedup={result['speedup']:.2f}x identical={identical} "
+          f"peak={peak_bytes / 1e6:.0f}MB ({result['peak_ratio']}x Ã)")
     return result
 
 
@@ -278,6 +295,12 @@ def test_case_runs(name):
 def test_proximity_blocks_match_one_block():
     # Hard in smoke runs too: the blocks must reproduce one block's bytes.
     assert run_case("proximity_100k")["identical"]
+
+
+def test_proximity_build_peak_is_bounded():
+    # Hard in smoke runs too: about one transient copy of A^l beside Ã.
+    result = run_case("proximity_100k")
+    assert result["peak_bytes"] <= 2.5 * result["output_bytes"]
 
 
 @pytest.mark.skipif(SMOKE, reason="quality gate needs full-size cases")

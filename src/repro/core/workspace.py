@@ -96,13 +96,13 @@ class FitWorkspace:
         ``prox``, ``degrees``, ``recon_target``, ``recon_dense``) —
         follows ``config.dtype`` and is part of the cache key, so a
         float32 and a float64 fit of the same graph hold separate
-        workspaces.  ``proximity`` always stays float64 (it is the
-        analysis-grade matrix AnECI+ denoising reads).
+        workspaces.  ``Ã`` is computed in float64 and rounded once; no
+        float64 copy is kept beside a float32 ``prox``.
     adj_norm:
         GCN-normalised adjacency; its CSR transpose is pre-registered in
         the :func:`repro.nn.spmm` transpose cache.
-    proximity / prox / degrees / two_m:
-        High-order proximity ``Ã`` and the modularity terms ``(Ã, k̃, 2M̃)``.
+    prox / degrees / two_m:
+        The modularity terms ``(Ã, k̃, 2M̃)`` of the high-order proximity.
     recon_target:
         Sparse reconstruction target (``Ã`` or the first-order variant).
     sample_nodes:
@@ -124,7 +124,6 @@ class FitWorkspace:
     fingerprint: str
     num_nodes: int
     adj_norm: sp.csr_matrix
-    proximity: sp.csr_matrix
     prox: sp.csr_matrix
     degrees: np.ndarray
     two_m: float
@@ -219,6 +218,7 @@ def build_workspace(graph: Graph, config: AnECIConfig,
                                              order=config.order,
                                              weights=config.proximity_weights)
         prox, degrees, two_m = modularity_loss_terms(proximity)
+        del proximity
         if config.recon_target == "first_order":
             recon_target = high_order_proximity(graph.adjacency, order=1)
         else:
@@ -257,7 +257,7 @@ def build_workspace(graph: Graph, config: AnECIConfig,
             recon_dense = None
         return FitWorkspace(
             fingerprint=fingerprint, num_nodes=n, adj_norm=adj_norm,
-            proximity=proximity, prox=prox, degrees=degrees, two_m=two_m,
+            prox=prox, degrees=degrees, two_m=two_m,
             recon_target=recon_target, sample_nodes=sample_nodes,
             recon_dense=recon_dense, dtype=dtype, lazy_dense=lazy_dense)
 

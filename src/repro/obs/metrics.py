@@ -9,6 +9,7 @@ suitable for JSON export or assertion in tests.
 from __future__ import annotations
 
 import contextlib
+import sys
 import time
 import tracemalloc
 
@@ -173,12 +174,14 @@ def track_peak_memory(label: str = "memory"):
     allocation across the block).  Uses :mod:`tracemalloc`; when tracing
     is not already running it is started for the duration of the block
     and stopped afterwards, so the instrumentation has no cost outside
-    the block.
+    the block.  When it is already running, an enclosing measurement
+    keeps its own peak: the block resets tracemalloc's peak to measure
+    itself, and raises it back on exit if the outer one was higher.
     """
     started_here = not tracemalloc.is_tracing()
     if started_here:
         tracemalloc.start()
-    before, _ = tracemalloc.get_traced_memory()
+    before, outer_peak = tracemalloc.get_traced_memory()
     tracemalloc.reset_peak()
     try:
         yield
@@ -186,6 +189,21 @@ def track_peak_memory(label: str = "memory"):
         current, peak = tracemalloc.get_traced_memory()
         if started_here:
             tracemalloc.stop()
+        elif outer_peak > peak:
+            _raise_traced_peak(outer_peak)
         reg = registry()
         reg.gauge(f"{label}.peak_bytes").set(max(peak - before, 0))
         reg.gauge(f"{label}.alloc_bytes").set(current - before)
+
+
+def _raise_traced_peak(peak: int) -> None:
+    """Lift tracemalloc's peak back to ``peak`` (it has no setter).
+
+    Allocates and frees one ``bytes`` object that brings the traced
+    total up to ``peak`` (give or take the few bytes of the size
+    computation).  ``bytes(n)`` is calloc'd, so large pages are never
+    touched and the process's resident memory does not grow.
+    """
+    gap = peak - tracemalloc.get_traced_memory()[0] - sys.getsizeof(b"")
+    if gap > 0:
+        bytes(gap)

@@ -1,10 +1,14 @@
 """Integration tests for the AnECI model and AnECI+ denoising."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import AnECI, AnECIConfig, AnECIPlus, newman_modularity
+from repro.core.encoder import GCNEncoder
 from repro.graph import planted_partition
+from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +177,34 @@ class TestAnECIPlus:
                           epochs=10, seed=0)
         z = model.fit_transform(clique_graph)
         assert z.shape == (clique_graph.num_nodes, 3)
+
+
+def test_sampled_epoch_graph_is_freed_before_the_next_forward(
+        monkeypatch, clique_graph):
+    # ``Tensor`` has no ``__weakref__`` slot; the loss's data array lives
+    # exactly as long as the loss tensor (``item()`` copies it out).
+    losses = []
+    alive = []
+    backward = Tensor.backward
+
+    def recording_backward(self, grad=None):
+        losses.append(weakref.ref(self.data))
+        backward(self, grad)
+
+    def checked(forward):
+        def wrapped(self, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in losses))
+            return forward(self, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Tensor, "backward", recording_backward)
+    monkeypatch.setattr(GCNEncoder, "forward", checked(GCNEncoder.forward))
+    monkeypatch.setattr(GCNEncoder, "forward_blocks",
+                        checked(GCNEncoder.forward_blocks))
+    model = AnECI(clique_graph.num_features, num_communities=3, epochs=4,
+                  lr=0.05, seed=0, train_mode="sampled", batch_nodes=20,
+                  edge_samples=64, fanout=4)
+    model.fit(clique_graph)
+    assert len(losses) == 4
+    # One forward per epoch; none may see an earlier epoch's loss alive.
+    assert alive == [0, 0, 0, 0]

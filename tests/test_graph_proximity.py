@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ class TestRowBlocks:
             pass
         assert "after" in tracer.root.children
         untraced = build_workspace(graph, config)
-        assert csr_digest(traced.proximity) == csr_digest(untraced.proximity) \
+        assert csr_digest(traced.prox) == csr_digest(untraced.prox) \
             == PROXIMITY_DIGESTS["dcsbm12k_order2"]
 
     def test_pool_workers_run_one_block_each(self):
@@ -251,6 +252,35 @@ class TestRowBlocks:
         results = parallel.ParallelExecutor(2).map(
             _proximity_in_worker, [(adjacency,), (adjacency,)])
         assert results == [(True, 1, PROXIMITY_DIGESTS["dcsbm12k_order2"])] * 2
+
+
+class TestBuildMemory:
+    """The build keeps about one transient copy of ``A^l`` beside ``Ã``.
+
+    A build that also kept ``w * A^l`` and the unscaled last power alive
+    through the row normalisation peaks at 3.3× the output here.
+    """
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_peak_is_at_most_two_and_a_half_outputs(self, monkeypatch,
+                                                    order, cores):
+        adjacency = graph_12k().adjacency
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(parallel, "in_worker", lambda: False)
+        base = adjacency + sp.eye(adjacency.shape[0], format="csr")
+        assert len(_row_cuts(base)) == cores + 1
+        del base
+        tracemalloc.start()
+        try:
+            prox = high_order_proximity(adjacency, order=order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = prox.data.nbytes + prox.indices.nbytes + prox.indptr.nbytes
+        assert peak <= 2.5 * output, peak / output
+        assert csr_digest(prox) == PROXIMITY_DIGESTS[f"dcsbm12k_order{order}"]
 
 
 def _proximity_in_worker(adjacency):
