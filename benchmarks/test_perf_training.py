@@ -170,6 +170,7 @@ def test_write_results():
         "smoke": SMOKE,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count() or 1,
         "cases": [_RESULTS[name] for name in CASES],
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -69,6 +69,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -445,8 +446,16 @@ def cmd_profile(args) -> int:
                        "sample.negatives", "workspace.dense_skipped")
     before = {name: registry.counter(name).value
               for name in sample_counters}
-    with trace.activate(tracer), op_profile.profile_ops() as prof:
-        method.fit(graph)
+    # tracemalloc runs around the fit so the workspace build records
+    # its peak (``sampling.workspace_peak_bytes``).
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        with trace.activate(tracer), op_profile.profile_ops() as prof:
+            method.fit(graph)
+    finally:
+        if started:
+            tracemalloc.stop()
     deltas = {name: registry.counter(name).value - before[name]
               for name in sample_counters}
 

@@ -312,6 +312,16 @@ class AnECI:
             guard = (DivergenceGuard(self.encoder.parameters(), optimizer,
                                      policy)
                      if policy.mode != "off" else None)
+            # One set of dense arrays for the reconstruction term, reused
+            # by every epoch of this fit (N×N, or k×k on the sampled-block
+            # path) and dropped when it returns.  Arrays allocated per
+            # epoch would go back to the OS when the epoch frees them
+            # (glibc trims the heap top) and be faulted in again.
+            k = workspace.sample_nodes
+            recon_buffers = (None if cfg.train_mode == "sampled" else
+                             kernels.bce_buffers(
+                                 (workspace.num_nodes,) * 2 if k is None
+                                 else (k, k), dtype))
 
         epoch_counter = metrics.registry().counter("aneci.epochs")
 
@@ -345,8 +355,8 @@ class AnECI:
                         workspace.two_m)
                     decoder_input = (p if cfg.decoder_source == "membership"
                                      else z)
-                    recon = self._reconstruction_loss(decoder_input,
-                                                      workspace, rng)
+                    recon = self._reconstruction_loss(
+                        decoder_input, workspace, rng, recon_buffers)
                 loss = q_tilde * (-cfg.beta1) + recon * cfg.beta2
                 if faultinject.fire("nan_loss", epoch=epoch,
                                     restart=restart) is not None:
@@ -355,18 +365,19 @@ class AnECI:
                 loss_value = loss.item()
                 modularity, reconstruction = q_tilde.item(), recon.item()
                 membership = p.data
+                # Free this epoch's autograd graph before the next forward.
+                # A sampled graph (~110 MB at 100k nodes) goes to the next
+                # epoch, which releases it after gathering its inputs:
+                # freed here, at the top of the heap, glibc would return
+                # it to the OS and the next forward would fault it back
+                # in (+10 % sampled epoch time at 100k nodes).  A
+                # full-batch graph's N×N arrays live in ``recon_buffers``,
+                # so what is freed here is small.
                 if cfg.train_mode == "sampled":
-                    # Hand this epoch's graph (~110 MB at 100k nodes) to
-                    # the next one, which releases it after gathering its
-                    # inputs, before its forward.  Freed here, at the top
-                    # of the heap, glibc would return it to the OS and the
-                    # next forward would fault it back in (+10 % sampled
-                    # epoch time at 100k nodes).  A full-batch graph is a
-                    # few MB of mid-size arrays that glibc returns either
-                    # way (+17 % epoch time on a 406-node graph), so it
-                    # lives until the next epoch rebinds these names.
                     previous[:] = loss, q_tilde, recon, p
-                    del loss, q_tilde, recon, p
+                else:
+                    del z, decoder_input
+                del loss, q_tilde, recon, p
                 if guard is not None and DivergenceGuard.diverged(
                         loss_value, self.encoder.parameters()):
                     action = guard.handle(loss=loss_value, epoch=epoch,
@@ -480,23 +491,27 @@ class AnECI:
         return q_tilde, recon, p
 
     def _reconstruction_loss(self, p: Tensor, workspace: FitWorkspace,
-                             rng: np.random.Generator) -> Tensor:
+                             rng: np.random.Generator,
+                             buffers: dict | None = None) -> Tensor:
         """High-order reconstruction ``L_R`` (Eq. 17) on ``Â = σ(PPᵀ)``.
 
         The paper sums Eq. 17 over all pairs; we reduce by the pair count so
         the two loss terms of Eq. 18 share a common O(1) scale and β₁/β₂
         keep their balancing role across graph sizes.  For large graphs a
         random node block is reconstructed per epoch (same mean scale).
+        ``buffers`` (:func:`repro.nn.backend.bce_buffers`) receive the
+        logits and the loss's intermediates.
         """
         if workspace.sample_nodes is None:
-            logits = p @ p.T
-            return F.binary_cross_entropy_with_logits(
-                logits, workspace.dense_target(), "mean")
-        idx = workspace.sample_indices(rng)
-        block = p[idx]
-        logits = block @ block.T
-        return F.binary_cross_entropy_with_logits(
-            logits, workspace.target_block(idx), "mean")
+            target = workspace.dense_target()
+        else:
+            idx = workspace.sample_indices(rng)
+            p = p[idx]
+            target = workspace.target_block(idx)
+        logits = p.matmul(p.T, out=None if buffers is None
+                          else buffers["logits"])
+        return F.binary_cross_entropy_with_logits(logits, target, "mean",
+                                                  buffers=buffers)
 
     # ------------------------------------------------------------------ #
     # Checkpointing                                                       #

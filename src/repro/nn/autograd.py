@@ -384,14 +384,17 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Linear algebra                                                     #
     # ------------------------------------------------------------------ #
-    def matmul(self, other: "Tensor") -> "Tensor":
+    def matmul(self, other: "Tensor", out: np.ndarray | None = None
+               ) -> "Tensor":
+        """``self @ other``, written into ``out`` when one is given."""
         other = _ensure_tensor(other, self.data.dtype)
 
         def backward(g):
             self._accumulate(g @ other.data.T, owned=True)
             other._accumulate(self.data.T @ g, owned=True)
 
-        return Tensor._make(self.data @ other.data, (self, other), backward)
+        return Tensor._make(np.matmul(self.data, other.data, out=out),
+                            (self, other), backward)
 
     __matmul__ = matmul
 
@@ -750,7 +753,8 @@ def fused_gcn_layer(x: Tensor, weight: Tensor, matrix: sp.spmatrix,
 
 def fused_bce_with_logits(logits: Tensor, target: np.ndarray | Tensor,
                           weights: np.ndarray | None = None,
-                          reduction: str = "sum") -> Tensor:
+                          reduction: str = "sum",
+                          buffers: dict | None = None) -> Tensor:
     """Numerically stable BCE-on-logits as a *single* autograd node.
 
     Computes ``relu(x) − x·t + log(exp(−|x|) + 1)`` (optionally scaled by
@@ -761,6 +765,11 @@ def fused_bce_with_logits(logits: Tensor, target: np.ndarray | Tensor,
     ~8 and allocates a handful of N×N temporaries instead of ~15 per
     call.  The closed-form gradient is ``σ(x) − t`` (times weights and
     the reduction scale), assembled from the saved forward intermediates.
+
+    ``buffers`` (from :func:`repro.nn.backend.bce_buffers`, shaped like
+    the logits) lets a caller that evaluates the loss once per epoch
+    reuse one set of intermediates instead of allocating them each call;
+    the logits' gradient is then the set's ``grad`` array.
     """
     x = logits.data
     t = target.data if isinstance(target, Tensor) else np.asarray(target)
@@ -770,10 +779,12 @@ def fused_bce_with_logits(logits: Tensor, target: np.ndarray | Tensor,
         weights = np.asarray(weights, dtype=x.dtype)
     if reduction not in ("none", "sum", "mean"):
         raise ValueError(f"unknown reduction: {reduction!r}")
-    value, ctx = kernels.bce_with_logits_forward(x, t, weights, reduction)
+    value, ctx = kernels.bce_with_logits_forward(x, t, weights, reduction,
+                                                 buffers)
 
     def backward(g):
-        grad = kernels.bce_with_logits_backward(g, x, t, weights, ctx)
+        grad = kernels.bce_with_logits_backward(g, x, t, weights, ctx,
+                                                buffers)
         logits._accumulate(grad, owned=True)
 
     return Tensor._make(value, (logits,), backward)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["NeighborSampler", "stable_softmax", "spmm", "gcn_layer_forward",
-           "gcn_layer_backward", "bce_with_logits_forward",
+           "gcn_layer_backward", "bce_buffers", "bce_with_logits_forward",
            "bce_with_logits_backward", "softmax", "softmax_backward",
            "adam_step", "sgd_step", "sample_without_replacement",
            "sample_pairs", "neighbor_gather", "matmul", "topk_indices",
@@ -105,16 +105,59 @@ def gcn_layer_backward(transpose, g: np.ndarray, scale: np.ndarray | None):
     return transpose @ gpre, gpre
 
 
+def bce_buffers(shape: tuple[int, ...], dtype) -> dict[str, np.ndarray]:
+    """One reusable set of arrays for the BCE kernels and their logits.
+
+    ``logits`` is for the caller's ``np.matmul(..., out=)``; the rest
+    hold the kernels' ``mask``, ``exp(−|x|)``, ``denom``, the logits
+    gradient and two scratch arrays.  A set serves one forward/backward
+    pair at a time:
+    the next forward overwrites the previous call's ``ctx``, the next
+    backward its gradient.  The returned loss value never aliases it.
+    """
+    buffers = {name: np.empty(shape, dtype)
+               for name in ("logits", "exp_neg_abs", "denom", "grad",
+                            "scratch0", "scratch1")}
+    buffers["mask"] = np.empty(shape, bool)
+    return buffers
+
+
+def _array(buffers: dict | None, name: str, like: np.ndarray,
+           dtype=None) -> np.ndarray:
+    """``buffers[name]``, or a fresh array shaped like ``like``."""
+    if buffers is None:
+        return np.empty(like.shape, like.dtype if dtype is None else dtype)
+    return buffers[name]
+
+
 def bce_with_logits_forward(x: np.ndarray, t: np.ndarray,
-                            weights: np.ndarray | None, reduction: str):
-    """Numerically stable BCE on logits; returns ``(value, ctx)``."""
+                            weights: np.ndarray | None, reduction: str,
+                            buffers: dict | None = None):
+    """Numerically stable BCE on logits; returns ``(value, ctx)``.
+
+    Evaluates ``(x·mask − x·t) + log(exp(−|x|) + 1)`` (times
+    ``weights``) in that association order; ``x``, ``t`` and
+    ``weights`` share one dtype.  Intermediates go into ``buffers``
+    (see :func:`bce_buffers`) or, without them, into fresh arrays.
+    """
     _record("bce")
-    mask = x > 0
-    exp_neg_abs = np.exp(-np.abs(x))
-    denom = exp_neg_abs + 1.0
-    elementwise = (x * mask - x * t) + np.log(denom)
+    mask = np.greater(x, 0, out=_array(buffers, "mask", x, bool))
+    exp_neg_abs = np.abs(x, out=_array(buffers, "exp_neg_abs", x))
+    np.negative(exp_neg_abs, out=exp_neg_abs)
+    np.exp(exp_neg_abs, out=exp_neg_abs)
+    denom = np.add(exp_neg_abs, 1.0, out=_array(buffers, "denom", x))
+    diff = np.multiply(x, mask, out=_array(buffers, "scratch0", x))
+    np.subtract(diff, np.multiply(x, t, out=_array(buffers, "scratch1", x)),
+                out=diff)
+    # A "none" reduction returns the elementwise loss itself, so it
+    # never lands in a reused buffer.  No ``np.add`` here writes into
+    # its first operand: on a one-element array numpy then takes its
+    # reduction loop, which can flip the sign of a zero or a NaN.
+    elementwise = np.log(denom, out=_array(
+        None if reduction == "none" else buffers, "scratch1", x))
+    np.add(diff, elementwise, out=elementwise)
     if weights is not None:
-        elementwise = elementwise * weights
+        np.multiply(elementwise, weights, out=elementwise)
     if reduction == "none":
         value = elementwise
         scale = None
@@ -130,20 +173,31 @@ def bce_with_logits_forward(x: np.ndarray, t: np.ndarray,
 
 
 def bce_with_logits_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray,
-                             weights: np.ndarray | None, ctx) -> np.ndarray:
-    """Gradient w.r.t. the logits, from the forward pass's ``ctx``."""
+                             weights: np.ndarray | None, ctx,
+                             buffers: dict | None = None) -> np.ndarray:
+    """Gradient w.r.t. the logits, from the forward pass's ``ctx``.
+
+    With ``buffers`` the gradient is ``buffers["grad"]``, valid until
+    the next backward with the same set.
+    """
     _record("bce")
     mask, exp_neg_abs, denom, scale = ctx
+    grad = _array(buffers, "grad", x)
     if scale is None:
         upstream = g
     else:
         upstream = np.broadcast_to(g * scale, x.shape)
     if weights is not None:
-        upstream = upstream * weights
-    dv = upstream / denom
-    grad = upstream * mask
-    grad = grad + (-upstream) * t
-    grad = grad + (-(dv * exp_neg_abs)) * np.sign(x)
+        # Last read by the product that overwrites it with upstream·mask.
+        upstream = np.multiply(upstream, weights, out=grad)
+    dv = np.divide(upstream, denom, out=_array(buffers, "scratch0", x))
+    partial = np.negative(upstream, out=_array(buffers, "scratch1", x))
+    np.multiply(partial, t, out=partial)
+    np.add(np.multiply(upstream, mask, out=grad), partial, out=partial)
+    np.multiply(dv, exp_neg_abs, out=dv)
+    np.negative(dv, out=dv)
+    np.multiply(dv, np.sign(x, out=grad), out=dv)
+    np.add(partial, dv, out=grad)
     return grad
 
 

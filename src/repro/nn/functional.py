@@ -67,11 +67,17 @@ def binary_cross_entropy(pred: Tensor, target: np.ndarray | Tensor,
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, target: np.ndarray | Tensor,
-                                     reduction: str = "sum") -> Tensor:
-    """Numerically stable BCE computed on logits."""
+                                     reduction: str = "sum",
+                                     buffers: dict | None = None) -> Tensor:
+    """Numerically stable BCE computed on logits.
+
+    ``buffers`` is handed to the fused kernel (see
+    :func:`~repro.nn.autograd.fused_bce_with_logits`).
+    """
     target_data = target.data if isinstance(target, Tensor) else np.asarray(target)
     if _USE_FUSED:
-        return fused_bce_with_logits(logits, target_data, reduction=reduction)
+        return fused_bce_with_logits(logits, target_data, reduction=reduction,
+                                     buffers=buffers)
     return _reduce(_composed_bce_with_logits(logits, target_data), reduction)
 
 

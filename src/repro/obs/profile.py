@@ -154,9 +154,11 @@ class OpProfiler:
     def _wrap_fused_bce(self, fn):
         profiler = self
 
-        def wrapped(logits, target, weights=None, reduction="sum"):
+        def wrapped(logits, target, weights=None, reduction="sum",
+                    buffers=None):
             t0 = time.perf_counter()
-            out = fn(logits, target, weights=weights, reduction=reduction)
+            out = fn(logits, target, weights=weights, reduction=reduction,
+                     buffers=buffers)
             elapsed = time.perf_counter() - t0
             stat = profiler._stat("bce_fused")
             stat.calls += 1
