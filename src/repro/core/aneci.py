@@ -366,13 +366,15 @@ class AnECI:
                 modularity, reconstruction = q_tilde.item(), recon.item()
                 membership = p.data
                 # Free this epoch's autograd graph before the next forward.
-                # A sampled graph (~110 MB at 100k nodes) goes to the next
-                # epoch, which releases it after gathering its inputs:
-                # freed here, at the top of the heap, glibc would return
-                # it to the OS and the next forward would fault it back
-                # in (+10 % sampled epoch time at 100k nodes).  A
-                # full-batch graph's N×N arrays live in ``recon_buffers``,
-                # so what is freed here is small.
+                # A sampled graph (~115 MB at 100k nodes in float64, by
+                # tracemalloc) goes to the next epoch, which releases it
+                # once its blocks are built: freed here, at the top of the
+                # heap, glibc would return it to the OS and the next
+                # forward would fault it back in (at 100k nodes ~8k
+                # minor faults per epoch instead of a few hundred, and
+                # 5–10 % more epoch time).  A full-batch graph's N×N
+                # arrays live in ``recon_buffers``, so what is freed here
+                # is small.
                 if cfg.train_mode == "sampled":
                     previous[:] = loss, q_tilde, recon, p
                 else:
@@ -465,8 +467,8 @@ class AnECI:
         the standard fanout-bounded GraphSAGE-style estimate of the full
         convolution, exact whenever ``fanout`` ≥ the maximum degree.
 
-        ``release`` is called once the forward's inputs are gathered,
-        just before the forward runs.
+        ``release`` is called once the forward's blocks are built, just
+        before the forward runs.
 
         Returns ``(q_tilde, recon, p)`` where ``p`` holds the batch
         membership rows (what the epoch record's rigidity is computed
@@ -741,37 +743,40 @@ def _minibatch_forward(encoder, features: Tensor, workspace: FitWorkspace,
     Builds one rectangular block matrix per conv layer from the output
     seeds down to the inputs: layer ``ℓ``'s block rows are its output
     nodes and its columns the union of their (sampled) neighbours, which
-    become the next layer down's rows.  Each block row holds the node's
-    full normalised-adjacency row when its degree is within ``fanout``,
-    else ``fanout`` neighbours sampled with replacement and rescaled by
-    ``deg/fanout`` (an unbiased row estimate — see
-    :class:`repro.nn.backend.NeighborSampler`).  Because ``adj_norm``
+    become the next layer down's rows.  The innermost block keeps global
+    column ids: it is ``n₁ × N`` and multiplies the whole feature
+    matrix, so no input rows are gathered, and being wider than tall its
+    layer aggregates first (see :func:`repro.nn.fused_gcn_layer`).  Each
+    block row holds the node's full normalised-adjacency row when its
+    degree is within ``fanout``, else ``fanout`` neighbours sampled with
+    replacement and rescaled by ``deg/fanout`` (an unbiased row estimate
+    — see :class:`repro.nn.backend.NeighborSampler`).  Because ``adj_norm``
     carries self-loops, ``fanout`` ≥ the maximum degree keeps every row
-    exact and the result is bit-identical to
-    ``encoder(features, adj_norm)[idx]``.
+    exact: the result then matches ``encoder(features, adj_norm)[idx]``
+    to rounding, and bit for bit when ``idx`` covers the graph (every
+    block is then square and takes the full forward's expressions).
 
     The neighbour draws come from the fit's single RNG, so the sample
     stream — and hence the whole trajectory — is bit-identical across
-    dtypes and worker counts.  ``release`` is called between gathering
-    the input rows and running the forward.
+    dtypes and worker counts.  ``release`` is called once the blocks are
+    built, just before the forward runs.
     """
     sampler = workspace.neighbor_sampler(fanout)
-    num_layers = len(encoder.convs)
+    num_nodes = workspace.num_nodes
     blocks = []
     seeds = np.asarray(idx, dtype=np.int64)
-    for _ in range(num_layers):
+    for layer in reversed(range(len(encoder.convs))):
         out_ptr, cols, vals = sampler.sample(seeds, rng)
-        in_nodes, local_cols = _compact_columns(cols, workspace.num_nodes)
-        block = sp.csr_matrix(
-            (vals, local_cols.astype(np.int32, copy=False),
+        num_rows = seeds.size
+        if layer:
+            seeds, cols = _compact_columns(cols, num_nodes)
+        blocks.append(sp.csr_matrix(
+            (vals, cols.astype(np.int32, copy=False),
              out_ptr.astype(np.int32, copy=False)),
-            shape=(seeds.size, in_nodes.size))
-        blocks.append(block)
-        seeds = in_nodes
+            shape=(num_rows, seeds.size if layer else num_nodes)))
     blocks.reverse()
-    inputs = features[seeds]
     release()
-    return encoder.forward_blocks(inputs, blocks)
+    return encoder.forward_blocks(features, blocks)
 
 
 def _compact_columns(cols: np.ndarray,

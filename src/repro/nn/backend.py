@@ -8,7 +8,9 @@ runs through one plain function here, as do the serving index's GEMM
 and top-k.  Each function counts its op and evaluates the engine's
 historical numpy expression, association order included; these
 expressions are the bit-exactness anchor pinned by the digests in
-``tests/test_backend.py`` and must not be "simplified".
+``tests/test_backend.py`` and must not be "simplified".  The one
+addition is the GCN layer's aggregate-first order, ``(Ā x) W``, taken
+only by sampled blocks wider than tall.
 
 :func:`op_counts` reports the per-op call counts for ``repro profile``
 and the benchmark's ``backend.ops_per_epoch``.
@@ -81,27 +83,47 @@ def spmm(matrix, x: np.ndarray) -> np.ndarray:
 
 
 def gcn_layer_forward(matrix, support: np.ndarray, bias: np.ndarray | None,
-                      negative_slope: float | None):
+                      negative_slope: float | None,
+                      weight: np.ndarray | None = None):
     """``matrix @ support (+ bias)`` with an optional LeakyReLU epilogue.
 
-    Returns ``(value, scale)``; ``scale`` is the per-entry activation
-    slope the backward pass multiplies by (``None`` without activation).
+    With ``weight`` the layer runs aggregate-first: ``support`` is the
+    layer input ``x`` and the product is ``(matrix @ x) @ weight``.
+
+    Returns ``(value, scale, aggregate)``; ``scale`` is the per-entry
+    activation slope the backward pass multiplies by (``None`` without
+    activation) and ``aggregate`` is ``matrix @ x`` (``None`` without
+    ``weight``).
     """
     _record("gcn_layer")
     out = matrix @ support
+    aggregate = None
+    if weight is not None:
+        aggregate, out = out, out @ weight
     if bias is not None:
         out = out + bias
     if negative_slope is None:
-        return out, None
+        return out, None, aggregate
     one = out.dtype.type(1.0)
     scale = np.where(out > 0, one, out.dtype.type(negative_slope))
-    return out * scale, scale
+    return out * scale, scale, aggregate
 
 
-def gcn_layer_backward(transpose, g: np.ndarray, scale: np.ndarray | None):
-    """Returns ``(grad w.r.t. support, grad w.r.t. the pre-activation)``."""
+def gcn_layer_backward(transpose, g: np.ndarray, scale: np.ndarray | None,
+                       weight: np.ndarray | None = None):
+    """Returns ``(dense-operand grad, pre-activation grad)``.
+
+    The dense operand of the sparse product is the support ``x W``
+    (``transpose @ gpre``), or with ``weight`` (aggregate-first) the
+    input ``x`` (``transpose @ (gpre @ weightᵀ)``).  ``transpose=None``
+    skips it.
+    """
     _record("gcn_layer")
     gpre = g * scale if scale is not None else g
+    if transpose is None:
+        return None, gpre
+    if weight is not None:
+        return transpose @ (gpre @ weight.T), gpre
     return transpose @ gpre, gpre
 
 

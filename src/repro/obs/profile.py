@@ -182,10 +182,14 @@ class OpProfiler:
             stat = profiler._stat("gcn_fused")
             stat.calls += 1
             stat.forward_s += elapsed
-            # dense GEMM + sparse product + elementwise epilogue.
-            cols = weight.data.shape[1]
-            stat.flops += (2 * int(x.data.size) * cols
-                           + 2 * int(matrix.nnz) * cols
+            # dense GEMM + sparse product + elementwise epilogue; a
+            # matrix wider than tall aggregates first, (Ā x) W.
+            rows, inputs = matrix.shape
+            width, cols = weight.data.shape
+            dense_rows, sparse_cols = ((rows, width) if inputs > rows
+                                       else (inputs, cols))
+            stat.flops += (2 * dense_rows * width * cols
+                           + 2 * int(matrix.nnz) * sparse_cols
                            + 2 * int(out.data.size))
             profiler._wrap_backward("gcn_fused", out)
             return out

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from repro.core import AnECI, workspace_cache
 from repro.graph.generators import planted_partition
 from repro.nn import Tensor
+from repro.nn.autograd import transpose_cache_size
 from repro.nn.backend import op_counts, reset_op_counts
 from repro.nn.layers import GCNConv, reference_composed_layers
 
@@ -24,6 +25,12 @@ from repro.nn.layers import GCNConv, reference_composed_layers
 def _hash(a):
     return hashlib.blake2b(np.ascontiguousarray(a).tobytes(),
                            digest_size=16).hexdigest()
+
+
+def _assert_close(got, want, tol):
+    """``got`` within ``tol`` of ``want``, relative to ``want``'s largest
+    magnitude."""
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def small_graph(seed=7):
@@ -81,6 +88,8 @@ class TestFusedLayerEquivalence:
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("slope", [None, 0.01])
     def test_values_and_grads_bit_equal(self, dtype, bias, slope):
+        # A square matrix (every full-batch layer) keeps the weight-first
+        # B·(x·W) of the composed chain, bit for bit.
         rng = np.random.default_rng(11)
         adj = sp.random(30, 30, density=0.2, random_state=3,
                         dtype=np.float64).tocsr().astype(dtype)
@@ -108,6 +117,60 @@ class TestFusedLayerEquivalence:
         assert fused_out.tobytes() == ref_out.tobytes()
         for got, want in zip(fused_grads, ref_grads):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("slope", [None, 0.01])
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_wide_block_aggregates_first(self, dtype, bias, slope,
+                                         input_grad):
+        # A 12 × 40 block (more inputs than outputs, like a sampled
+        # first layer) evaluates (B·x)·W; it matches the weight-first
+        # composition to rounding and computes x̄ only when asked.
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        rng = np.random.default_rng(11)
+        block = sp.random(12, 40, density=0.2, random_state=3,
+                          dtype=np.float64).tocsr().astype(dtype)
+        x_data = rng.standard_normal((40, 8)).astype(dtype)
+        upstream = rng.standard_normal((12, 5)).astype(dtype)
+        bias_data = rng.standard_normal(5).astype(dtype)
+
+        def run(composed):
+            conv = GCNConv(8, 5, np.random.default_rng(5), bias=bias,
+                           dtype=dtype)
+            if bias:
+                conv.bias.data[...] = bias_data
+            x = Tensor(x_data.copy(), requires_grad=input_grad)
+            if composed:
+                with reference_composed_layers():
+                    out = conv(x, block, negative_slope=slope)
+            else:
+                out = conv(x, block, negative_slope=slope)
+            out.backward(upstream.copy())
+            grads = {"x": x.grad, "w": conv.weight.grad}
+            if bias:
+                grads["b"] = conv.bias.grad
+            return out.data, grads, conv.weight.data
+
+        before = transpose_cache_size()
+        fused_out, fused_grads, weight = run(composed=False)
+        if not input_grad:
+            # Nothing needs Bᵀ: the fused layer never builds it.
+            assert transpose_cache_size() == before
+        ref_out, ref_grads, _ = run(composed=True)
+        assert fused_out.dtype == dtype
+        pre = (block @ x_data) @ weight
+        if slope is None and not bias:
+            assert fused_out.tobytes() == pre.tobytes()
+        _assert_close(fused_out, ref_out, tol)
+        assert fused_grads.keys() == ref_grads.keys()
+        for name, want in ref_grads.items():
+            got = fused_grads[name]
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == dtype
+                _assert_close(got, want, tol)
 
     def test_fused_requires_sparse_matrix(self):
         from repro.nn.autograd import fused_gcn_layer

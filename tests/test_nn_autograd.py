@@ -263,3 +263,29 @@ def test_property_softmax_is_distribution(values):
 def test_property_sigmoid_bounded(values):
     out = tensor(np.array(values)).sigmoid().data
     assert np.all((out > 0) & (out < 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]),
+       st.integers(min_value=1, max_value=6),
+       st.sampled_from([(), (1,), (3,)]),
+       st.data())
+def test_property_getitem_scatter_matches_add_at(dtype, n, tail, data):
+    # The row-gather backward scatters through a CSR product; it must
+    # reproduce np.add.at bit for bit, duplicates, negative indices and
+    # −0.0 gradients (which +0.0 absorbs) included.
+    index = np.array(data.draw(st.lists(
+        st.integers(min_value=-n, max_value=n - 1), max_size=20)),
+        dtype=np.int64)
+    values = st.one_of(st.just(-0.0), st.just(0.0), st.floats(
+        -1e3, 1e3, allow_nan=False, width=32 if dtype == np.float32 else 64))
+    g = np.array(data.draw(st.lists(
+        values, min_size=index.size * int(np.prod(tail)),
+        max_size=index.size * int(np.prod(tail)))),
+        dtype=dtype).reshape(index.size, *tail)
+    t = Tensor(np.zeros((n, *tail), dtype=dtype), requires_grad=True)
+    t[index].backward(g.copy())
+    expected = np.zeros((n, *tail), dtype=dtype)
+    np.add.at(expected, index, g)
+    assert t.grad.dtype == dtype
+    assert t.grad.tobytes() == expected.tobytes()

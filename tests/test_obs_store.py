@@ -711,11 +711,21 @@ class TestObsCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["seq"] == 1
 
-    def test_regress_clean_and_single_entry(self, recorded, capsys,
+    def test_regress_clean_and_single_entry(self, run_dir, capsys,
                                             monkeypatch):
         from repro.cli import main
+        # Two copies of one fixed entry: a clean comparison that reads no
+        # clock, so a loaded host cannot turn it into a slowdown.
+        ledger = RunLedger(run_dir)
+        entry = _entry(elapsed_s=2.0, history=[
+            {"epoch": epoch, "loss": 1.0 - 0.1 * epoch}
+            for epoch in range(4)])
+        for _ in range(2):
+            ledger.append(dict(entry))
         assert main(["obs", "regress", "fit", "--strict"]) == 0
-        assert "no regressions" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "loss curve: 4 shared epochs" in out
+        assert "no regressions" in out
         # a fresh ledger with one entry has nothing to compare
         lone = RunLedger(os.environ["REPRO_RUN_DIR"] + "-lone")
         lone.append(_entry())

@@ -67,19 +67,22 @@ FULL_MODE_HASHES = {
 
 # AnECI+ (embedding, membership) digests of a sampled-mode fit on a
 # 3000-node DC-SBM whose 512-node batches cover part of the graph.
-# Recorded once the sampled modularity backward used the block's
-# transpose; the edge removal, workspace and minibatch speed-ups that
-# followed must keep reproducing them.
+# Recorded once the first GCN layer of a sampled batch aggregated
+# before its weight product, ``(B·X)·W``.  These bits depend on the
+# BLAS thread count: with one OpenBLAS thread they read
+# ("3e5f1a7858be58349c2a1f88171fcca2", "134f3cf5c6af1e97ef1003e13d8fc8d4").
 SAMPLED_PLUS_KWARGS = dict(train_mode="sampled", batch_nodes=512,
                            edge_samples=1024, negative_samples=5, fanout=10)
-SAMPLED_PLUS_HASHES = ("ddef7472e14bfe336fec3ab1f40ae8b0",
-                       "3dc45a4f964b137085d84e8c7bcb060a")
+SAMPLED_PLUS_HASHES = ("e86af448e64a072c083c0b9548f83801",
+                       "3a7602c9491e423ab873f4b4f8cb98d8")
 
 # AnECI (embedding, membership) digests of a two-epoch sampled fit on a
 # 12,000-node DC-SBM: large enough that its proximity may be computed in
-# row blocks, which must leave the fit bit-for-bit unchanged.
-SAMPLED_12K_HASHES = ("8f1b43e4c815805f7e5c67a15ff62676",
-                      "b59d25c40e04420589aa7f9e462d66f8")
+# row blocks, which must leave the fit bit-for-bit unchanged.  With one
+# OpenBLAS thread they read ("c33ebbc37f76e9e745d9e2f1cec0d05b",
+# "c60ba4da45aed7b5d208aac55bda4733").
+SAMPLED_12K_HASHES = ("3f802fffffdd8ed7ee786eb284e704d5",
+                      "3ec9a1aeded1219e40bd5328f4299348")
 
 
 # --------------------------------------------------------------------- #

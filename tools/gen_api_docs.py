@@ -12,6 +12,9 @@ import importlib
 import inspect
 from pathlib import Path
 
+#: The tracked reference this script regenerates.
+DEFAULT_OUT = Path(__file__).parent.parent / "docs" / "API.md"
+
 PACKAGES = [
     "repro",
     "repro.nn",
@@ -97,9 +100,10 @@ estimator (`edge_samples`/`negative_samples`, env
 `REPRO_EDGE_SAMPLES`/`REPRO_NEG_SAMPLES`) replacing the dense
 σ(PPᵀ)-vs-target BCE; and a fanout-bounded neighbour-sampled GCN
 forward (`fanout`, env `REPRO_FANOUT`; a fanout ≥ the maximum degree
-reproduces the full forward bit-exactly).  Sampled-mode workspaces
-never densify the reconstruction target (`workspace.dense_skipped`
-counter + `workspace.dense_skipped_bytes` gauge record the avoided
+matches the full forward to rounding, bit-exactly when the batch covers
+the graph).  Sampled-mode workspaces never densify the reconstruction
+target (`workspace.dense_skipped` counter +
+`workspace.dense_skipped_bytes` gauge record the avoided
 allocation), so 100k–1M-node graphs from
 `repro.graph.sparse_dcsbm` train in memory the dense path could never
 touch.  The default `train_mode="full"` path is byte-identical to
@@ -398,13 +402,15 @@ def document_package(name: str) -> list[str]:
     return lines
 
 
-def main() -> Path:
+def main(out: Path | None = None) -> Path:
+    """Write the API reference to ``out`` (default: the tracked
+    ``docs/API.md``) and return its path."""
     lines = ["# API reference", "",
              "Auto-generated by `tools/gen_api_docs.py`; regenerate after "
              "changing any public signature.", ""]
     for package in PACKAGES:
         lines += document_package(package)
-    out = Path(__file__).parent.parent / "docs" / "API.md"
+    out = Path(out) if out is not None else DEFAULT_OUT
     out.parent.mkdir(exist_ok=True)
     out.write_text("\n".join(lines))
     print(f"wrote {out} ({len(lines)} lines)")
