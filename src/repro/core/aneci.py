@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from ..graph.graph import Graph, normalized_adjacency
 from ..nn import Adam, Tensor, functional as F, no_grad
 from ..nn import backend as kernels
+from ..nn.autograd import pair_dots
 from ..obs import events, metrics, store, trace
 from ..resilience import faultinject
 from ..resilience.checkpoint import (CheckpointManager, config_fingerprint,
@@ -317,11 +318,19 @@ class AnECI:
             # path) and dropped when it returns.  Arrays allocated per
             # epoch would go back to the OS when the epoch frees them
             # (glibc trims the heap top) and be faulted in again.
+            # A sampled epoch's large arrays — each layer's aggregate,
+            # activations and their gradients, and the logits of each
+            # reconstruction stratum — get the same treatment: one
+            # buffer pool per layer and per stratum.
             k = workspace.sample_nodes
-            recon_buffers = (None if cfg.train_mode == "sampled" else
-                             kernels.bce_buffers(
-                                 (workspace.num_nodes,) * 2 if k is None
-                                 else (k, k), dtype))
+            sampled = cfg.train_mode == "sampled"
+            recon_buffers = (None if sampled else kernels.bce_buffers(
+                (workspace.num_nodes,) * 2 if k is None else (k, k), dtype))
+            pools = (dict(layers=[kernels.BufferPool()
+                                  for _ in self.encoder.convs],
+                          edges=kernels.BufferPool(),
+                          negatives=kernels.BufferPool())
+                     if sampled else None)
 
         epoch_counter = metrics.registry().counter("aneci.epochs")
 
@@ -337,15 +346,13 @@ class AnECI:
             start_epoch = int(resume[1]["epoch"]) + 1
         epoch = start_epoch
         stopped = False
-        # The last sampled epoch's autograd graph (see the hand-off below).
-        previous: list[Tensor] = []
         while epoch < cfg.epochs and not stopped:
             with trace.span("epoch"):
                 self.encoder.train()
                 optimizer.zero_grad()
                 if cfg.train_mode == "sampled":
                     q_tilde, recon, p = self._sampled_epoch(
-                        features, workspace, rng, previous.clear)
+                        features, workspace, rng, pools)
                 else:
                     z = self.encoder(features, workspace.adj_norm)
                     p = z.softmax(axis=-1)
@@ -366,18 +373,9 @@ class AnECI:
                 modularity, reconstruction = q_tilde.item(), recon.item()
                 membership = p.data
                 # Free this epoch's autograd graph before the next forward.
-                # A sampled graph (~115 MB at 100k nodes in float64, by
-                # tracemalloc) goes to the next epoch, which releases it
-                # once its blocks are built: freed here, at the top of the
-                # heap, glibc would return it to the OS and the next
-                # forward would fault it back in (at 100k nodes ~8k
-                # minor faults per epoch instead of a few hundred, and
-                # 5–10 % more epoch time).  A full-batch graph's N×N
-                # arrays live in ``recon_buffers``, so what is freed here
-                # is small.
-                if cfg.train_mode == "sampled":
-                    previous[:] = loss, q_tilde, recon, p
-                else:
+                # Its large arrays live in ``recon_buffers`` or ``pools``,
+                # so what is freed here is small.
+                if cfg.train_mode != "sampled":
                     del z, decoder_input
                 del loss, q_tilde, recon, p
                 if guard is not None and DivergenceGuard.diverged(
@@ -452,7 +450,7 @@ class AnECI:
         return self
 
     def _sampled_epoch(self, features: Tensor, workspace: FitWorkspace,
-                       rng: np.random.Generator, release
+                       rng: np.random.Generator, pools=None
                        ) -> tuple[Tensor, Tensor, Tensor]:
         """One sampled-mode epoch: batch draw → minibatch GCN forward →
         subsampled modularity → edge/negative-sampled reconstruction.
@@ -467,8 +465,11 @@ class AnECI:
         the standard fanout-bounded GraphSAGE-style estimate of the full
         convolution, exact whenever ``fanout`` ≥ the maximum degree.
 
-        ``release`` is called once the forward's blocks are built, just
-        before the forward runs.
+        The batch's ``S×S`` block of ``Ã`` is built once
+        (:meth:`~repro.core.workspace.FitWorkspace.recon_block`) and read
+        by both terms.  ``pools`` holds the fit's buffer pools (one per
+        layer, one per reconstruction stratum), so the epoch's large
+        arrays are allocated once per fit, not once per epoch.
 
         Returns ``(q_tilde, recon, p)`` where ``p`` holds the batch
         membership rows (what the epoch record's rigidity is computed
@@ -477,15 +478,19 @@ class AnECI:
         cfg = self.config
         idx = workspace.batch_indices(rng, cfg.batch_nodes)
         z = _minibatch_forward(self.encoder, features, workspace, idx,
-                               cfg.fanout, rng, release)
+                               cfg.fanout, rng,
+                               None if pools is None else pools["layers"])
         p = z.softmax(axis=-1)
+        target = workspace.recon_block(idx)
+        block = (target if workspace.shared_target
+                 else workspace.prox_block(idx))
         q_tilde = sampled_modularity_tensor(
-            p, idx, workspace.prox, workspace.degrees, workspace.two_m,
-            workspace.num_nodes, workspace.prox_diagonal())
+            p, block, workspace.degrees[idx], workspace.two_m,
+            workspace.num_nodes)
         decoder_input = p if cfg.decoder_source == "membership" else z
         recon, num_pos, num_neg = _sampled_reconstruction(
-            decoder_input, workspace.recon_block(idx), cfg.edge_samples,
-            cfg.negative_samples, rng)
+            decoder_input, target, cfg.edge_samples, cfg.negative_samples,
+            rng, pools)
         registry = metrics.registry()
         registry.counter("sample.nodes").inc(int(idx.size))
         registry.counter("sample.edges").inc(num_pos)
@@ -737,7 +742,7 @@ class AnECI:
 def _minibatch_forward(encoder, features: Tensor, workspace: FitWorkspace,
                        idx: np.ndarray, fanout: int,
                        rng: np.random.Generator,
-                       release=lambda: None) -> Tensor:
+                       pools=None) -> Tensor:
     """Fanout-bounded minibatch GCN forward over the batch ``idx``.
 
     Builds one rectangular block matrix per conv layer from the output
@@ -758,8 +763,8 @@ def _minibatch_forward(encoder, features: Tensor, workspace: FitWorkspace,
 
     The neighbour draws come from the fit's single RNG, so the sample
     stream — and hence the whole trajectory — is bit-identical across
-    dtypes and worker counts.  ``release`` is called once the blocks are
-    built, just before the forward runs.
+    dtypes and worker counts.  ``pools`` are the layers' buffer pools
+    (see :meth:`~repro.core.encoder.GCNEncoder.forward_blocks`).
     """
     sampler = workspace.neighbor_sampler(fanout)
     num_nodes = workspace.num_nodes
@@ -775,8 +780,7 @@ def _minibatch_forward(encoder, features: Tensor, workspace: FitWorkspace,
              out_ptr.astype(np.int32, copy=False)),
             shape=(num_rows, seeds.size if layer else num_nodes)))
     blocks.reverse()
-    release()
-    return encoder.forward_blocks(features, blocks)
+    return encoder.forward_blocks(features, blocks, pools)
 
 
 def _compact_columns(cols: np.ndarray,
@@ -791,7 +795,7 @@ def _compact_columns(cols: np.ndarray,
 
 def _sampled_reconstruction(dec: Tensor, block: sp.csr_matrix,
                             edge_samples: int, negative_samples: int,
-                            rng: np.random.Generator
+                            rng: np.random.Generator, pools=None
                             ) -> tuple[Tensor, int, int]:
     """Edge/negative-sampled estimate of the block-mean BCE (Eq. 17).
 
@@ -806,8 +810,21 @@ def _sampled_reconstruction(dec: Tensor, block: sp.csr_matrix,
     block-mean loss, so the full-batch and sampled objectives share the
     same O(1) scale and ``β₂`` keeps its role.
 
+    ``pools`` (``edges`` and ``negatives``
+    :class:`~repro.nn.backend.BufferPool`\ s) hold each stratum's
+    logits and BCE arrays, whose sizes are fixed for a fit.
+
     Returns ``(loss, positives_drawn, negatives_drawn)``.
     """
+    def buffers(stratum, size):
+        if pools is None:
+            return None
+        return kernels.bce_buffers((size,), dtype, pools[stratum])
+
+    def logits_of(stratum, rows, cols):
+        return pair_dots(dec, rows, cols,
+                         None if pools is None else pools[stratum])
+
     s = block.shape[0]
     total = s * s
     nnz = int(block.nnz)
@@ -821,9 +838,9 @@ def _sampled_reconstruction(dec: Tensor, block: sp.csr_matrix,
         rows = np.searchsorted(block.indptr, entry_ids, side="right") - 1
         cols = block.indices[entry_ids].astype(np.int64, copy=False)
         targets = block.data[entry_ids].astype(dtype, copy=False)
-        logits = (dec[rows] * dec[cols]).sum(axis=1)
-        pos_mean = F.binary_cross_entropy_with_logits(logits, targets,
-                                                      "mean")
+        pos_mean = F.binary_cross_entropy_with_logits(
+            logits_of("edges", rows, cols), targets, "mean",
+            buffers("edges", num_pos))
         terms.append(pos_mean * (nnz / total))
     if nnz < total:
         num_neg = int(edge_samples) * int(negative_samples)
@@ -847,9 +864,10 @@ def _sampled_reconstruction(dec: Tensor, block: sp.csr_matrix,
         codes = np.concatenate(kept_chunks)[:num_neg]
         rows = codes // s
         cols = codes - rows * s
-        logits = (dec[rows] * dec[cols]).sum(axis=1)
         neg_mean = F.binary_cross_entropy_with_logits(
-            logits, np.zeros(num_neg, dtype=dtype), "mean")
+            logits_of("negatives", rows, cols),
+            np.zeros(num_neg, dtype=dtype), "mean",
+            buffers("negatives", num_neg))
         terms.append(neg_mean * ((total - nnz) / total))
     loss = terms[0] if len(terms) == 1 else terms[0] + terms[1]
     return loss, num_pos, num_neg

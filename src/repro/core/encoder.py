@@ -44,7 +44,8 @@ class GCNEncoder(Module):
                 h = self.dropout(h)
         return h
 
-    def forward_blocks(self, x: Tensor, blocks: list[sp.spmatrix]) -> Tensor:
+    def forward_blocks(self, x: Tensor, blocks: list[sp.spmatrix],
+                       pools: list | None = None) -> Tensor:
         """Minibatch forward: one rectangular block matrix per layer.
 
         ``blocks[i]`` plays the role of ``adj_norm`` for layer ``i`` —
@@ -53,7 +54,9 @@ class GCNEncoder(Module):
         Used by the sampled training mode, where each block holds a
         fanout-bounded neighbour sample; with blocks sliced from the full
         normalised adjacency the result equals :meth:`forward` restricted
-        to the final block's rows.
+        to the final block's rows.  ``pools`` holds one
+        :class:`~repro.nn.backend.BufferPool` per layer for a caller that
+        runs the forward once per epoch (see :func:`repro.nn.fused_gcn_layer`).
         """
         if len(blocks) != len(self.convs):
             raise ValueError(
@@ -64,7 +67,8 @@ class GCNEncoder(Module):
         for i, (conv, block) in enumerate(zip(self.convs, blocks)):
             h = conv(h, block,
                      negative_slope=None if i == last
-                     else self.negative_slope)
+                     else self.negative_slope,
+                     pool=None if pools is None else pools[i])
             if i != last and self.dropout is not None:
                 h = self.dropout(h)
         return h

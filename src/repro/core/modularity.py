@@ -83,48 +83,48 @@ def generalized_modularity_tensor(membership: Tensor, proximity: sp.csr_matrix,
     return (observed - expected) * (1.0 / two_m)
 
 
-def sampled_modularity_tensor(membership: Tensor, idx: np.ndarray,
-                              proximity: sp.csr_matrix, degrees: np.ndarray,
-                              two_m: float, num_nodes: int,
-                              prox_diag: np.ndarray) -> Tensor:
+def sampled_modularity_tensor(membership: Tensor, block: sp.csr_matrix,
+                              degrees: np.ndarray, two_m: float,
+                              num_nodes: int) -> Tensor:
     """Unbiased subsample estimate of ``Q̃`` from a node batch (Eq. 14).
 
-    ``membership`` holds the soft membership rows of the ``idx`` nodes
-    only (a without-replacement uniform sample of the graph), so the
-    epoch touches just the ``idx × idx`` block of the proximity — never
-    the full matrix.  Both traces are built from Horvitz–Thompson
-    weights for simple random sampling without replacement: node pairs
-    ``i ≠ j`` are observed with probability ``s(s−1)/(n(n−1))`` and
-    single nodes with ``s/n``, so off-diagonal and diagonal sums get
-    separate inverse-probability scales and the estimator's expectation
-    over batches equals the exact ``Q̃`` of the same membership matrix.
-    The rank-one ``‖Pᵀk̃‖²`` term uses the identity
-    ``‖Σᵢ vᵢ‖² = Σ_{i≠j} vᵢ·vⱼ + Σᵢ ‖vᵢ‖²`` so its cross and diagonal
-    parts can be reweighted separately (a plain ``(n/s)²`` scale on the
-    squared sum would be biased upward by the sample variance).
+    ``membership`` holds the soft membership rows of a batch of nodes (a
+    without-replacement uniform sample of the graph), ``block`` the
+    batch's ``S×S`` block of the proximity ``Ã`` and ``degrees`` their
+    ``k̃``, so the epoch touches just that block — never the full
+    matrix.  Both traces are built from Horvitz–Thompson weights for
+    simple random sampling without replacement: node pairs ``i ≠ j`` are
+    observed with probability ``s(s−1)/(n(n−1))`` and single nodes with
+    ``s/n``, so off-diagonal and diagonal sums get separate
+    inverse-probability scales and the estimator's expectation over
+    batches equals the exact ``Q̃`` of the same membership matrix.  The
+    diagonal is read from the block itself.  The rank-one ``‖Pᵀk̃‖²``
+    term uses the identity ``‖Σᵢ vᵢ‖² = Σ_{i≠j} vᵢ·vⱼ + Σᵢ ‖vᵢ‖²`` so
+    its cross and diagonal parts can be reweighted separately (a plain
+    ``(n/s)²`` scale on the squared sum would be biased upward by the
+    sample variance).
 
-    When ``idx`` covers every node both scales are 1, and the value and
-    its gradient with respect to ``membership`` both equal those of
-    :func:`generalized_modularity_tensor`.
+    When the batch covers every node both scales are 1, and the value
+    and its gradient with respect to ``membership`` both equal those of
+    :func:`generalized_modularity_tensor` on the same ``(Ã, k̃, 2M̃)``.
     """
-    s = int(idx.size)
+    s = int(block.shape[0])
     n = int(num_nodes)
     if s < 2:
         raise ValueError("sampled modularity needs at least 2 nodes")
     f_pair = (n * (n - 1.0)) / (s * (s - 1.0))
     f_node = n / float(s)
     dtype = membership.data.dtype
-    block = proximity[idx][:, idx].tocsr()
     # tr(PᵀÃP): block total, then split the diagonal out so each part
     # carries its own inverse inclusion probability.  Row-normalised Ã is
     # not symmetric, so the backward pass needs the block's own transpose.
     observed_all = (membership * spmm(block, membership,
                                       transpose=block.T.tocsr())).sum()
-    diag = Tensor(prox_diag[idx].astype(dtype, copy=False)[:, None])
+    diag = Tensor(block.diagonal().astype(dtype, copy=False)[:, None])
     diag_part = (diag * membership * membership).sum()
     observed = ((observed_all - diag_part) * f_pair + diag_part * f_node)
     # ‖Pᵀk̃‖² via the cross/diagonal split of the squared sum.
-    weighted = membership * Tensor(degrees[idx][:, None])
+    weighted = membership * Tensor(degrees[:, None])
     column_sums = weighted.sum(axis=0)
     total_sq = (column_sums * column_sums).sum()
     node_sq = (weighted * weighted).sum()

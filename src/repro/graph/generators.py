@@ -187,7 +187,13 @@ def sparse_dcsbm(num_nodes: int, num_communities: int,
             keep = lo != hi
             codes_chunks.append(lo[keep] * np.int64(n) + hi[keep])
     if codes_chunks:
-        codes = np.unique(np.concatenate(codes_chunks))
+        # ``np.unique`` without its bookkeeping: sort in place, then keep
+        # the first of each run of equal codes.
+        codes = np.concatenate(codes_chunks)
+        codes.sort()
+        first = np.ones(codes.size, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        codes = codes[first]
     else:
         codes = np.empty(0, dtype=np.int64)
     row = codes // n
@@ -229,10 +235,9 @@ def topic_features(labels: np.ndarray, num_features: int,
         raise ValueError("not enough features for the requested topics")
 
     permutation = rng.permutation(num_features)
-    class_words = {
-        c: permutation[c * topics_per_class:(c + 1) * topics_per_class]
-        for c in range(num_classes)
-    }
+    # Row c holds class c's topic words.
+    class_words = permutation[:num_classes * topics_per_class].reshape(
+        num_classes, topics_per_class)
     features = (rng.random((labels.size, num_features)) < active_out)
     features = features.astype(np.float64)
     for c in range(num_classes):
@@ -241,10 +246,13 @@ def topic_features(labels: np.ndarray, num_features: int,
         hits = rng.random((members.size, words.size)) < active_in
         features[np.ix_(members, words)] = np.maximum(
             features[np.ix_(members, words)], hits.astype(np.float64))
-    # Guarantee no all-zero rows (every document has at least one word).
+    # Guarantee no all-zero rows (every document has at least one word):
+    # one draw of a class word per empty row — the same draws, in row
+    # order, as one ``rng.choice(words)`` per row.
     empty = np.flatnonzero(features.sum(axis=1) == 0)
-    for node in empty:
-        features[node, rng.choice(class_words[labels[node]])] = 1.0
+    if empty.size:
+        picks = rng.choice(topics_per_class, size=empty.size)
+        features[empty, class_words[labels[empty], picks]] = 1.0
     return features
 
 

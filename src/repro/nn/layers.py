@@ -156,13 +156,16 @@ class GCNConv(Module):
                      if bias else None)
 
     def forward(self, x: Tensor, adj_norm: sp.spmatrix,
-                negative_slope: float | None = None) -> Tensor:
+                negative_slope: float | None = None,
+                pool=None) -> Tensor:
         """Apply the layer; ``negative_slope`` folds a LeakyReLU into the
         same graph node (bit-identical to calling ``.leaky_relu`` on the
-        result — callers pass it so the fused layer applies the epilogue)."""
+        result — callers pass it so the fused layer applies the epilogue).
+        ``pool`` is the fused layer's per-caller buffer set (see
+        :func:`repro.nn.fused_gcn_layer`)."""
         if _USE_FUSED_LAYERS:
             return fused_gcn_layer(x, self.weight, adj_norm, bias=self.bias,
-                                   negative_slope=negative_slope)
+                                   negative_slope=negative_slope, pool=pool)
         support = x @ self.weight
         out = spmm(adj_norm, support)
         if self.bias is not None:

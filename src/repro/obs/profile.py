@@ -40,7 +40,8 @@ _LABELS = {"__radd__": "add", "__rmul__": "mul", "__matmul__": "matmul"}
 
 #: Module-level autograd entry points patched in every repro module that
 #: imported them by value.
-_FUNCTIONS = ["spmm", "concat", "fused_bce_with_logits", "fused_gcn_layer"]
+_FUNCTIONS = ["spmm", "concat", "fused_bce_with_logits", "fused_gcn_layer",
+              "pair_dots"]
 
 #: Per-element cost heuristic for the FLOP-ish estimate.
 _TRANSCENDENTAL = {"exp", "log", "sqrt", "sigmoid", "tanh",
@@ -171,13 +172,32 @@ class OpProfiler:
         wrapped.__name__ = fn.__name__
         return wrapped
 
+    def _wrap_pair_dots(self, fn):
+        profiler = self
+
+        def wrapped(x, rows, cols, pool=None):
+            t0 = time.perf_counter()
+            out = fn(x, rows, cols, pool)
+            elapsed = time.perf_counter() - t0
+            stat = profiler._stat("pair_dots")
+            stat.calls += 1
+            stat.forward_s += elapsed
+            # a multiply and an add per gathered element
+            stat.flops += 2 * int(rows.size) * int(x.data.shape[1])
+            profiler._wrap_backward("pair_dots", out)
+            return out
+
+        wrapped.__name__ = fn.__name__
+        return wrapped
+
     def _wrap_fused_gcn(self, fn):
         profiler = self
 
-        def wrapped(x, weight, matrix, bias=None, negative_slope=None):
+        def wrapped(x, weight, matrix, bias=None, negative_slope=None,
+                    pool=None):
             t0 = time.perf_counter()
             out = fn(x, weight, matrix, bias=bias,
-                     negative_slope=negative_slope)
+                     negative_slope=negative_slope, pool=pool)
             elapsed = time.perf_counter() - t0
             stat = profiler._stat("gcn_fused")
             stat.calls += 1
@@ -231,7 +251,8 @@ class OpProfiler:
             setattr(Tensor, name, self._wrap_method(name, original))
         wrappers = {"spmm": self._wrap_spmm, "concat": self._wrap_concat,
                     "fused_bce_with_logits": self._wrap_fused_bce,
-                    "fused_gcn_layer": self._wrap_fused_gcn}
+                    "fused_gcn_layer": self._wrap_fused_gcn,
+                    "pair_dots": self._wrap_pair_dots}
         for fname in _FUNCTIONS:
             original = getattr(autograd, fname)
             wrapped = wrappers[fname](original)

@@ -1,5 +1,7 @@
 """Tests for synthetic generators, dataset registry and splits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.graph import (DATASETS, attributed_sbm, load_dataset,
                          planetoid_split, planted_partition, topic_features)
+from repro.graph.generators import sparse_dcsbm
 
 
 @pytest.fixture
@@ -189,3 +192,75 @@ def test_property_sbm_graph_valid(seed):
     assert g.adjacency.diagonal().sum() == 0
     assert (g.adjacency != g.adjacency.T).nnz == 0
     assert g.features.shape == (45, 12)
+
+
+def _digest(*arrays):
+    digest = hashlib.blake2b(digest_size=16)
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _graph_digests(graph):
+    adj = graph.adjacency
+    return (_digest(adj.indptr, adj.indices, adj.data),
+            _digest(graph.features), _digest(graph.labels))
+
+
+# (adjacency CSR arrays, features, labels) digests of the generated
+# graphs the benchmarks and sampled-training pins train on.  The
+# generators may get faster; their output may not change.
+GENERATOR_DIGESTS = {
+    3000: ("1669fa3d892f6d2560a291493e37704d",
+           "7343d217de98334693f7779979e73459",
+           "48a20c849e3f6c88b5db13cab8ab1cb4"),
+    12_000: ("c90f2c98166055d510c7aa50808fb9ec",
+             "e0f49e27077cfddfd3c61568f81d9578",
+             "40e2cf8cd9eda8b9e32a7dff58b339ee"),
+    100_000: ("9108a32102bf6976228eba7df367ce48",
+              "4ff711aae0f82556f6037dc3ec69272f",
+              "d4e7d7db32745bff6248ed48a10f2810"),
+}
+CORA_015_DIGESTS = ("3e5c29e6c5fbfed26c8dea80af1eec23",
+                    "dda27877d77cec6e1d64b5dd453ce293",
+                    "43050a9ee3ba54c1d6b02e8f241e5f19")
+
+
+class TestPinnedGeneratorOutput:
+    @pytest.mark.parametrize("num_nodes", sorted(GENERATOR_DIGESTS))
+    def test_sparse_dcsbm_digests(self, num_nodes):
+        graph = sparse_dcsbm(num_nodes, 10, np.random.default_rng(0),
+                             avg_degree=10.0, mixing=0.1, num_features=64)
+        assert _graph_digests(graph) == GENERATOR_DIGESTS[num_nodes]
+
+    def test_calibrated_cora_digests(self):
+        assert _graph_digests(load_dataset("cora", 0.15)) == \
+            CORA_015_DIGESTS
+
+    @pytest.mark.parametrize("topics", [1, 2, 3, 5, 7, 64])
+    def test_empty_row_fill_matches_per_row_draws(self, topics):
+        # The vectorised fill of all-zero feature rows draws the same
+        # words, and leaves the generator in the same state, as one
+        # ``rng.choice`` per empty row.
+        labels = np.repeat(np.arange(2), 300)
+        rng = np.random.default_rng(topics)
+        features = topic_features(labels, 2 * topics, rng,
+                                  topics_per_class=topics, active_in=0.01,
+                                  active_out=0.0)
+        ref_rng = np.random.default_rng(topics)
+        permutation = ref_rng.permutation(2 * topics)
+        expected = (ref_rng.random((600, 2 * topics)) < 0.0).astype(float)
+        for c in range(2):
+            members = np.flatnonzero(labels == c)
+            words = permutation[c * topics:(c + 1) * topics]
+            hits = ref_rng.random((members.size, topics)) < 0.01
+            expected[np.ix_(members, words)] = np.maximum(
+                expected[np.ix_(members, words)], hits.astype(float))
+        empty = np.flatnonzero(expected.sum(axis=1) == 0)
+        assert empty.size > 0
+        for node in empty:
+            words = permutation[labels[node] * topics:
+                                (labels[node] + 1) * topics]
+            expected[node, ref_rng.choice(words)] = 1.0
+        np.testing.assert_array_equal(features, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -785,6 +785,9 @@ class TestBenchLedger:
         monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
         monkeypatch.syspath_prepend(
             os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
+        # Importing the harness installs its tracer process-wide; put the
+        # previous one back afterwards so later tests see no tracer.
+        monkeypatch.setattr(trace, "_ACTIVE", trace.get_tracer())
         import _harness
         monkeypatch.setattr(_harness, "RESULTS_DIR", tmp_path / "results")
         with trace.activate(_harness.TRACER):

@@ -101,8 +101,11 @@ estimator (`edge_samples`/`negative_samples`, env
 σ(PPᵀ)-vs-target BCE; and a fanout-bounded neighbour-sampled GCN
 forward (`fanout`, env `REPRO_FANOUT`; a fanout ≥ the maximum degree
 matches the full forward to rounding, bit-exactly when the batch covers
-the graph).  Sampled-mode workspaces never densify the reconstruction
-target (`workspace.dense_skipped` counter +
+the graph).  Sampled-mode workspaces never materialise `Ã`: each
+epoch builds its batch's block from adjacency row slabs
+(`FitWorkspace.recon_block`, `repro.graph.proximity.ProximityBlocks`),
+and they never densify the reconstruction target
+(`workspace.dense_skipped` counter +
 `workspace.dense_skipped_bytes` gauge record the avoided
 allocation), so 100k–1M-node graphs from
 `repro.graph.sparse_dcsbm` train in memory the dense path could never
