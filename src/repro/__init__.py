@@ -15,7 +15,7 @@ __version__ = "1.0.0"
 
 def __getattr__(name):
     """Lazy re-exports so ``import repro`` stays cheap and cycle-free."""
-    if name in {"AnECI", "AnECIPlus"}:
+    if name in {"AnECI", "AnECIPlus", "DivergenceError"}:
         from .core import aneci
         return getattr(aneci, name)
     if name in {"load_dataset", "DATASETS"}:
@@ -27,15 +27,13 @@ def __getattr__(name):
     if name in {"ParallelExecutor", "parallel_map", "resolve_workers"}:
         from . import parallel
         return getattr(parallel, name)
-    if name in {"CheckpointManager", "CheckpointError", "DivergenceError",
-                "DivergenceGuard", "RecoveryPolicy", "FaultPlan"}:
-        from . import resilience
-        return getattr(resilience, name)
+    if name == "FaultPlan":
+        from .resilience import FaultPlan
+        return FaultPlan
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
 __all__ = ["AnECI", "AnECIPlus", "Graph", "load_dataset", "DATASETS",
            "ParallelExecutor", "parallel_map", "resolve_workers",
-           "CheckpointManager", "CheckpointError", "DivergenceError",
-           "DivergenceGuard", "RecoveryPolicy", "FaultPlan",
+           "DivergenceError", "FaultPlan",
            "__version__"]

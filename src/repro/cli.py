@@ -54,11 +54,6 @@ edge/negative-sampled reconstruction, subsampled modularity and a
 fanout-bounded minibatch GCN forward — sublinear per-epoch cost for
 100k–1M-node graphs (tune with ``REPRO_BATCH_NODES`` /
 ``REPRO_EDGE_SAMPLES`` / ``REPRO_NEG_SAMPLES`` / ``REPRO_FANOUT``).
-
-``--checkpoint-dir PATH`` (default: the ``REPRO_CHECKPOINT_DIR``
-environment variable, else off) makes every fit write crash-safe
-snapshots under PATH; ``repro embed --resume`` continues an interrupted
-run from its newest valid snapshot, bit-identically.
 """
 
 from __future__ import annotations
@@ -100,10 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "$REPRO_TRAIN_MODE, else full; 'sampled' "
                              "trades exactness for sublinear per-epoch "
                              "cost on very large graphs)")
-    parser.add_argument("--checkpoint-dir", default=None, metavar="PATH",
-                        help="write crash-safe training snapshots under "
-                             "PATH (default: $REPRO_CHECKPOINT_DIR, else "
-                             "off)")
     from .obs.store import DEFAULT_RUN_DIR
     parser.add_argument("--run-dir", nargs="?", const=DEFAULT_RUN_DIR,
                         default=None, metavar="PATH",
@@ -129,10 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--out", required=True, help="output .npy path")
     emb.add_argument("--json", action="store_true",
                      help="print a structured JSON record instead of text")
-    emb.add_argument("--resume", action="store_true",
-                     help="resume an interrupted fit from the newest valid "
-                          "snapshot under --checkpoint-dir (aneci/aneci+ "
-                          "only)")
 
     att = sub.add_parser("attack", help="poison a dataset, save to .npz")
     _dataset_args(att)
@@ -325,30 +312,14 @@ def cmd_embed(args) -> int:
     graph = _load(args)
     method = _build_method(args.method, graph, args.epochs, args.seed,
                            n_init=getattr(args, "n_init", None))
-    fit_kwargs = {}
-    if getattr(args, "resume", False):
-        directory = os.environ.get("REPRO_CHECKPOINT_DIR")
-        if not directory:
-            print("--resume needs --checkpoint-dir (or "
-                  "$REPRO_CHECKPOINT_DIR) to locate the snapshots",
-                  file=sys.stderr)
-            return 2
-        import inspect
-        if "resume_from" not in inspect.signature(
-                method.fit_transform).parameters:
-            print(f"--resume is not supported by method "
-                  f"{args.method!r}", file=sys.stderr)
-            return 2
-        fit_kwargs["resume_from"] = directory
     start = time.perf_counter()
-    embedding = method.fit_transform(graph, **fit_kwargs)
+    embedding = method.fit_transform(graph)
     elapsed = time.perf_counter() - start
     np.save(args.out, embedding)
     record = {"command": "embed", "method": args.method,
               "dataset": args.dataset, "scale": args.scale,
               "seed": args.seed, "shape": list(embedding.shape),
-              "out": str(args.out), "elapsed_s": elapsed,
-              "resumed": bool(fit_kwargs)}
+              "out": str(args.out), "elapsed_s": elapsed}
     events.emit("embed", **record)
     if getattr(args, "json", False):
         print(_strict_json(record))
@@ -825,11 +796,6 @@ def main(argv: list[str] | None = None) -> int:
         # worker processes) reads REPRO_TRAIN_MODE as its default
         # training regime.
         os.environ["REPRO_TRAIN_MODE"] = args.train_mode
-    if args.checkpoint_dir is not None:
-        # And again: every fit the command triggers — any method, any
-        # nesting depth, any worker process — checkpoints under this
-        # directory, namespaced by its own content-derived run key.
-        os.environ["REPRO_CHECKPOINT_DIR"] = args.checkpoint_dir
     if args.run_dir is not None:
         # Every ledger hook downstream — fits, denoise passes, experiment
         # runners, worker processes — reads REPRO_RUN_DIR, so one flag

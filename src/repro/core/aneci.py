@@ -11,8 +11,6 @@ community membership, ``L = −β₁·Q̃ + β₂·L_R`` (Eq. 18).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -21,11 +19,7 @@ from ..nn import Adam, Tensor, functional as F, no_grad
 from ..nn import backend as kernels
 from ..nn.autograd import pair_dots
 from ..obs import events, metrics, store, trace
-from ..resilience import faultinject
-from ..resilience.checkpoint import (CheckpointManager, config_fingerprint,
-                                     run_key)
-from ..resilience.guards import DivergenceGuard, RecoveryPolicy
-from .config import AnECIConfig
+from .config import AnECIConfig, config_fingerprint, run_key
 from .encoder import GCNEncoder
 from .modularity import (generalized_modularity_tensor,
                          sampled_modularity_tensor)
@@ -33,7 +27,11 @@ from .scores import (community_anomaly_scores, membership_entropy_scores,
                      rigidity)
 from .workspace import FitWorkspace, get_workspace
 
-__all__ = ["AnECI", "AnECIPlus"]
+__all__ = ["AnECI", "AnECIPlus", "DivergenceError"]
+
+
+class DivergenceError(RuntimeError):
+    """An epoch produced a non-finite loss or gradient."""
 
 
 class AnECI:
@@ -78,8 +76,8 @@ class AnECI:
     # ------------------------------------------------------------------ #
     # Training                                                            #
     # ------------------------------------------------------------------ #
-    def fit(self, graph: Graph, callback=None, workers: int | None = None,
-            resume_from: str | None = None) -> "AnECI":
+    def fit(self, graph: Graph, callback=None,
+            workers: int | None = None) -> "AnECI":
         """Train on ``graph``; each call restarts from fresh weights.
 
         ``callback(epoch, model, record)`` runs after every epoch, where
@@ -100,14 +98,8 @@ class AnECI:
         callbacks observe live model state, which cannot cross a process
         boundary.
 
-        ``resume_from`` names a checkpoint directory (typically the
-        ``checkpoint_dir`` of an interrupted run): the newest valid
-        snapshot for this exact (graph, config) pair is restored and
-        training continues from it, reproducing the uninterrupted run
-        bit for bit.  A completed run's final snapshot restores without
-        training; a directory with no usable snapshot warns and starts
-        fresh.  Resume runs restarts serially (their mid-run state lives
-        in the parent).
+        An epoch whose loss or any parameter gradient is non-finite
+        raises :class:`DivergenceError` naming the epoch and restart.
 
         With ``REPRO_RUN_DIR`` set (CLI: ``--run-dir``) the fit leaves
         one durable entry in the run ledger — keyed ``fit:<run key>`` —
@@ -116,7 +108,7 @@ class AnECI:
         key (see :mod:`repro.obs.store`).
         """
         if not store.enabled():
-            return self._fit_impl(graph, callback, workers, resume_from)
+            return self._fit_impl(graph, callback, workers)
         from ..parallel import resolve_workers
         cfg = self.config
         with store.capture_run(
@@ -131,9 +123,8 @@ class AnECI:
                     "epochs": cfg.epochs, "n_init": cfg.n_init,
                     "seed": cfg.seed, "patience": cfg.patience},
                 dtype=str(cfg.dtype),
-                workers=resolve_workers(workers),
-                resumed=resume_from is not None) as run:
-            self._fit_impl(graph, callback, workers, resume_from)
+                workers=resolve_workers(workers)) as run:
+            self._fit_impl(graph, callback, workers)
             run["epochs"] = len(self.history)
             run["history"] = [
                 {"epoch": r["epoch"], "restart": r["restart"],
@@ -149,78 +140,42 @@ class AnECI:
             }
         return self
 
-    def _fit_impl(self, graph: Graph, callback, workers: int | None,
-                  resume_from: str | None) -> "AnECI":
-        manager, resume = self._checkpoint_setup(graph, resume_from)
-        if resume is not None and resume[1].get("kind") == "final":
-            return self._restore_final(graph, *resume)
+    def _fit_impl(self, graph: Graph, callback,
+                  workers: int | None) -> "AnECI":
         if self.config.n_init > 1:
-            self._fit_with_restarts(graph, callback, workers,
-                                    manager=manager, resume=resume)
-        else:
-            self._fit_once(graph, callback, self.config.seed,
-                           manager=manager, resume=resume)
-            # Single-init fits emit the same per-restart record as
-            # n_init > 1 runs, so telemetry consumers see one uniform
-            # stream shape.
-            events.emit("restart", restart=0,
-                        final_modularity=self.selection_modularity,
-                        epochs_run=len(self.history), best_so_far=True)
-        if manager is not None:
-            self._save_final(manager)
+            return self._fit_with_restarts(graph, callback, workers)
+        self._fit_once(graph, callback, self.config.seed)
+        # Single-init fits emit the same per-restart record as n_init > 1
+        # runs, so telemetry consumers see one uniform stream shape.
+        events.emit("restart", restart=0,
+                    final_modularity=self.selection_modularity,
+                    epochs_run=len(self.history), best_so_far=True)
         return self
 
     def _fit_with_restarts(self, graph: Graph, callback,
-                           workers: int | None = None, manager=None,
-                           resume=None) -> "AnECI":
+                           workers: int | None = None) -> "AnECI":
         from ..parallel import resolve_workers
-        if resume is None and callback is None and resolve_workers(workers) > 1:
+        if callback is None and resolve_workers(workers) > 1:
             return self._fit_restarts_pooled(graph, workers)
-        start_restart = 0
-        resume_restart = -1
-        # best-so-far across completed restarts; shared with _fit_once so
-        # epoch checkpoints carry it and a resumed fit can skip restarts
-        # that already ran.
-        fit_ctx = {"q": -np.inf, "restart": -1, "state": None, "history": None}
-        if resume is not None:
-            arrays, meta = resume
-            resume_restart = int(meta["restart"])
-            fit_meta = meta.get("fit")
-            if fit_meta is not None:
-                # Serial-written checkpoints embed the winner of every
-                # restart completed before the snapshot: skip re-running
-                # them.  Pool-written checkpoints carry no cross-restart
-                # context (fit is None) — earlier restarts re-run fresh,
-                # deterministically reproducing their original results.
-                start_restart = resume_restart
-                if fit_meta.get("has_state"):
-                    fit_ctx.update(
-                        q=(-np.inf if fit_meta["best_q"] is None
-                           else float(fit_meta["best_q"])),
-                        restart=int(fit_meta["best_restart"]),
-                        state=_unpack(arrays, "fitbest"),
-                        history=[dict(r) for r in fit_meta["best_history"]])
-        for restart in range(start_restart, self.config.n_init):
+        best = {"q": -np.inf, "restart": -1, "state": None, "history": None}
+        for restart in range(self.config.n_init):
             self._fit_once(graph, callback, self.config.seed + restart,
-                           restart=restart, manager=manager,
-                           resume=resume if restart == resume_restart
-                           else None, fit_ctx=fit_ctx)
+                           restart=restart)
             # Rank by the modularity of the weights the restart actually
             # kept: under early stopping that is the restored-best state,
             # not the last epoch before patience ran out.
             final_q = self.selection_modularity
-            if final_q > fit_ctx["q"]:
-                fit_ctx.update(q=final_q, restart=restart,
-                               state=self.encoder.state_dict(),
-                               history=self.history)
+            if final_q > best["q"]:
+                best.update(q=final_q, restart=restart,
+                            state=self.encoder.state_dict(),
+                            history=self.history)
             events.emit("restart", restart=restart, final_modularity=final_q,
                         epochs_run=len(self.history),
-                        best_so_far=restart == fit_ctx["restart"])
-        metrics.registry().counter("aneci.restarts").inc(
-            self.config.n_init - start_restart)
-        self.encoder.load_state_dict(fit_ctx["state"])
-        self.history = fit_ctx["history"]
-        self.selection_modularity = fit_ctx["q"]
+                        best_so_far=restart == best["restart"])
+        metrics.registry().counter("aneci.restarts").inc(self.config.n_init)
+        self.encoder.load_state_dict(best["state"])
+        self.history = best["history"]
+        self.selection_modularity = best["q"]
         return self
 
     def _fit_restarts_pooled(self, graph: Graph,
@@ -266,15 +221,12 @@ class AnECI:
         return self
 
     def _fit_once(self, graph: Graph, callback, seed: int,
-                  restart: int = 0, manager=None, resume=None,
-                  fit_ctx=None) -> "AnECI":
+                  restart: int = 0) -> "AnECI":
         with trace.span("fit"):
-            return self._fit_once_traced(graph, callback, seed, restart,
-                                         manager, resume, fit_ctx)
+            return self._fit_once_traced(graph, callback, seed, restart)
 
     def _fit_once_traced(self, graph: Graph, callback, seed: int,
-                         restart: int, manager=None, resume=None,
-                         fit_ctx=None) -> "AnECI":
+                         restart: int) -> "AnECI":
         cfg = self.config
         if graph.num_features != self.num_features:
             raise ValueError(
@@ -300,19 +252,6 @@ class AnECI:
             features = Tensor(np.asarray(graph.features, dtype=dtype))
             optimizer = Adam(self.encoder.parameters(), lr=cfg.lr,
                              weight_decay=cfg.weight_decay)
-            if manager is None and cfg.checkpoint_dir is not None:
-                # Pooled restarts land here: each worker derives its own
-                # manager from the config — the run key is shared, the
-                # epoch files are namespaced per restart.
-                manager = CheckpointManager.for_fit(cfg.checkpoint_dir,
-                                                    graph, cfg)
-            policy = RecoveryPolicy.from_config(cfg)
-            # The guard's checks are read-only and its snapshots live
-            # outside the autograd graph, so a non-diverging run is
-            # bit-identical with or without it.
-            guard = (DivergenceGuard(self.encoder.parameters(), optimizer,
-                                     policy)
-                     if policy.mode != "off" else None)
             # One set of dense arrays for the reconstruction term, reused
             # by every epoch of this fit (N×N, or k×k on the sampled-block
             # path) and dropped when it returns.  Arrays allocated per
@@ -338,15 +277,7 @@ class AnECI:
         best_state = None
         best_q = -np.inf
         stall = 0
-        reseeds = 0
-        start_epoch = 0
-        if resume is not None:
-            (best_loss, best_state, best_q, stall, reseeds) = \
-                self._load_epoch_checkpoint(resume, rng, optimizer, guard)
-            start_epoch = int(resume[1]["epoch"]) + 1
-        epoch = start_epoch
-        stopped = False
-        while epoch < cfg.epochs and not stopped:
+        for epoch in range(cfg.epochs):
             with trace.span("epoch"):
                 self.encoder.train()
                 optimizer.zero_grad()
@@ -365,9 +296,6 @@ class AnECI:
                     recon = self._reconstruction_loss(
                         decoder_input, workspace, rng, recon_buffers)
                 loss = q_tilde * (-cfg.beta1) + recon * cfg.beta2
-                if faultinject.fire("nan_loss", epoch=epoch,
-                                    restart=restart) is not None:
-                    loss.data[...] = np.nan
                 loss.backward()
                 loss_value = loss.item()
                 modularity, reconstruction = q_tilde.item(), recon.item()
@@ -378,30 +306,10 @@ class AnECI:
                 if cfg.train_mode != "sampled":
                     del z, decoder_input
                 del loss, q_tilde, recon, p
-                if guard is not None and DivergenceGuard.diverged(
-                        loss_value, self.encoder.parameters()):
-                    action = guard.handle(loss=loss_value, epoch=epoch,
-                                          restart=restart)
-                    if action == "reseed":
-                        # Repeated divergence from the same basin: rebuild
-                        # the model from a derived seed at the backed-off
-                        # learning rate.  The RNG keeps rolling (restoring
-                        # it would replay the same divergence forever).
-                        reseeds += 1
-                        lr = optimizer.lr
-                        rng = np.random.default_rng(seed + 7919 * reseeds)
-                        self.encoder = GCNEncoder(
-                            self.num_features,
-                            (*cfg.hidden_dims, cfg.num_communities),
-                            rng=rng, dropout=cfg.dropout, dtype=dtype)
-                        optimizer = Adam(self.encoder.parameters(), lr=lr,
-                                         weight_decay=cfg.weight_decay)
-                        guard.rebind(self.encoder.parameters(), optimizer)
-                    if action != "ignore":
-                        # A diverged epoch consumes its index (budgets and
-                        # checkpoints stay monotonic) but records nothing.
-                        epoch += 1
-                        continue
+                if not _finite(loss_value, self.encoder.parameters()):
+                    raise DivergenceError(
+                        f"non-finite loss or gradient at epoch {epoch} "
+                        f"(restart {restart})")
                 optimizer.step()
 
             record = {
@@ -429,24 +337,12 @@ class AnECI:
                 else:
                     stall += 1
                     if stall >= cfg.patience:
-                        stopped = True
-            if guard is not None:
-                guard.commit()
-            if manager is not None and manager.due(epoch):
-                self._save_epoch_checkpoint(
-                    manager, restart=restart, epoch=epoch, rng=rng,
-                    optimizer=optimizer, guard=guard,
-                    early=(best_loss, best_state, best_q, stall),
-                    reseeds=reseeds, fit_ctx=fit_ctx)
-            epoch += 1
+                        break
         if cfg.patience is not None and best_state is not None:
             self.encoder.load_state_dict(best_state)
             self.selection_modularity = best_q
-        elif self.history:
-            self.selection_modularity = self.history[-1]["modularity"]
         else:
-            # Every epoch diverged and was skipped; nothing to select on.
-            self.selection_modularity = -np.inf
+            self.selection_modularity = self.history[-1]["modularity"]
         return self
 
     def _sampled_epoch(self, features: Tensor, workspace: FitWorkspace,
@@ -521,129 +417,6 @@ class AnECI:
                                                   buffers=buffers)
 
     # ------------------------------------------------------------------ #
-    # Checkpointing                                                       #
-    # ------------------------------------------------------------------ #
-    def _checkpoint_setup(self, graph: Graph, resume_from: str | None):
-        """Build this fit's :class:`CheckpointManager` (if any) and load
-        the snapshot to resume from (if asked).  Returns
-        ``(manager, (arrays, meta) | None)``."""
-        cfg = self.config
-        directory = resume_from if resume_from is not None \
-            else cfg.checkpoint_dir
-        if directory is None:
-            return None, None
-        manager = CheckpointManager.for_fit(directory, graph, cfg)
-        resume = None
-        if resume_from is not None:
-            resume = manager.load_latest()
-            if resume is None:
-                warnings.warn(
-                    f"resume_from={resume_from!r}: no usable checkpoint "
-                    f"under {manager.directory}; starting fresh",
-                    RuntimeWarning, stacklevel=3)
-            else:
-                meta = resume[1]
-                metrics.registry().counter("checkpoint.resumes").inc()
-                events.emit("checkpoint_resume",
-                            snapshot=meta.get("kind"),
-                            restart=meta.get("restart"),
-                            epoch=meta.get("epoch"))
-        return manager, resume
-
-    def _save_epoch_checkpoint(self, manager, *, restart: int, epoch: int,
-                               rng, optimizer, guard, early, reseeds: int,
-                               fit_ctx) -> None:
-        """Snapshot everything a bit-exact resume of this restart needs:
-        weights, optimizer moments + scalars, RNG state, epoch history,
-        early-stopping state, guard budgets — and (serial multi-restart
-        fits) the best-so-far of the restarts already completed."""
-        best_loss, best_state, best_q, stall = early
-        opt_state = optimizer.state_dict()
-        arrays = _pack("enc", self.encoder.state_dict())
-        arrays.update({f"opt/b_{i}": buf
-                       for i, buf in enumerate(opt_state["buffers"])})
-        if best_state is not None:
-            arrays.update(_pack("best", best_state))
-        meta = {
-            "kind": "epoch",
-            "restart": restart,
-            "epoch": epoch,
-            "rng_state": rng.bit_generator.state,
-            "history": self.history,
-            "early": {"best_loss": _finite_or_none(best_loss),
-                      "best_q": _finite_or_none(best_q),
-                      "stall": stall,
-                      "has_best": best_state is not None},
-            "opt_buffers": len(opt_state["buffers"]),
-            "opt_scalars": opt_state["scalars"],
-            "guard": guard.state() if guard is not None else None,
-            "reseeds": reseeds,
-            "dtype": self.config.dtype,
-            "fit": None,
-        }
-        if fit_ctx is not None:
-            meta["fit"] = {"best_q": _finite_or_none(fit_ctx["q"]),
-                           "best_restart": fit_ctx["restart"],
-                           "has_state": fit_ctx["state"] is not None,
-                           "best_history": fit_ctx["history"]}
-            if fit_ctx["state"] is not None:
-                arrays.update(_pack("fitbest", fit_ctx["state"]))
-        manager.save_epoch(arrays, meta, restart, epoch)
-
-    def _load_epoch_checkpoint(self, resume, rng, optimizer, guard):
-        """Restore a mid-restart snapshot in place; returns the loop
-        state ``(best_loss, best_state, best_q, stall, reseeds)``."""
-        arrays, meta = resume
-        self.encoder.load_state_dict(_unpack(arrays, "enc"))
-        optimizer.load_state_dict({
-            "buffers": [arrays[f"opt/b_{i}"]
-                        for i in range(int(meta["opt_buffers"]))],
-            "scalars": meta["opt_scalars"]})
-        # One Generator object feeds init, dropout and recon sampling, so
-        # restoring its bit-generator state resumes every random stream.
-        rng.bit_generator.state = meta["rng_state"]
-        self.history = [dict(record) for record in meta["history"]]
-        if guard is not None:
-            if meta.get("guard"):
-                guard.load_state(meta["guard"])
-            guard.commit()  # the snapshot is a good state: recovery point
-        early = meta["early"]
-        best_loss = np.inf if early["best_loss"] is None \
-            else float(early["best_loss"])
-        best_q = -np.inf if early["best_q"] is None \
-            else float(early["best_q"])
-        best_state = _unpack(arrays, "best") if early["has_best"] else None
-        return (best_loss, best_state, best_q, int(early["stall"]),
-                int(meta.get("reseeds", 0)))
-
-    def _save_final(self, manager) -> None:
-        """Persist the selected weights once the whole fit finished, so a
-        later ``resume_from`` restores instantly instead of retraining."""
-        manager.save_final(_pack("enc", self.encoder.state_dict()), {
-            "kind": "final",
-            "selection_modularity": _finite_or_none(
-                self.selection_modularity),
-            "history": self.history,
-            "dtype": self.config.dtype,
-        })
-
-    def _restore_final(self, graph: Graph, arrays, meta) -> "AnECI":
-        cfg = self.config
-        self.encoder = GCNEncoder(
-            self.num_features, (*cfg.hidden_dims, cfg.num_communities),
-            rng=np.random.default_rng(cfg.seed), dropout=cfg.dropout,
-            dtype=np.dtype(cfg.dtype))
-        self.encoder.load_state_dict(_unpack(arrays, "enc"))
-        self.history = [dict(record) for record in meta["history"]]
-        self.selection_modularity = -np.inf \
-            if meta["selection_modularity"] is None \
-            else float(meta["selection_modularity"])
-        self._fitted_graph = graph
-        self._fit_workspace = None
-        self._adj_norm_memo = None
-        return self
-
-    # ------------------------------------------------------------------ #
     # Inference                                                           #
     # ------------------------------------------------------------------ #
     def embed(self, graph: Graph | None = None) -> np.ndarray:
@@ -680,10 +453,9 @@ class AnECI:
         return adj_norm
 
     def fit_transform(self, graph: Graph, callback=None,
-                      workers: int | None = None,
-                      resume_from: str | None = None) -> np.ndarray:
-        return self.fit(graph, callback=callback, workers=workers,
-                        resume_from=resume_from).embed(graph)
+                      workers: int | None = None) -> np.ndarray:
+        return self.fit(graph, callback=callback,
+                        workers=workers).embed(graph)
 
     def membership(self, graph: Graph | None = None) -> np.ndarray:
         """Soft community membership ``P = softmax(Z)`` (Eq. 3)."""
@@ -716,7 +488,7 @@ class AnECI:
         One forward pass produces the embedding matrix and its softmax
         membership; both land in :class:`repro.serve.store.EmbeddingStore`
         under ``directory`` as float32 shards.  The version is the
-        content-derived :func:`repro.resilience.checkpoint.run_key` of
+        content-derived :func:`repro.core.config.run_key` of
         (graph, config), so re-exporting the same fit overwrites its own
         version while any changed fit publishes a fresh one — and
         ``repro serve run`` can hot-reload between them.
@@ -873,20 +645,16 @@ def _sampled_reconstruction(dec: Tensor, block: sp.csr_matrix,
     return loss, num_pos, num_neg
 
 
-def _pack(prefix: str, state: dict) -> dict:
-    """Namespace a state dict's keys for one flat checkpoint archive."""
-    return {f"{prefix}/{key}": value for key, value in state.items()}
-
-
-def _unpack(arrays: dict, prefix: str) -> dict:
-    """Inverse of :func:`_pack` for one namespace."""
-    start = prefix + "/"
-    return {key[len(start):]: arrays[key]
-            for key in arrays if key.startswith(start)}
+def _finite(loss_value: float, params) -> bool:
+    """Are this epoch's loss and every parameter gradient finite?"""
+    if not np.isfinite(loss_value):
+        return False
+    return all(param.grad is None or np.isfinite(param.grad).all()
+               for param in params)
 
 
 def _finite_or_none(value: float) -> float | None:
-    """Strict-JSON-safe scalar for checkpoint meta (±inf/NaN → None)."""
+    """Strict-JSON-safe scalar for ledger entries (±inf/NaN → None)."""
     value = float(value)
     return value if np.isfinite(value) else None
 

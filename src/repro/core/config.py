@@ -9,10 +9,14 @@ a plain dataclass so experiments can record the exact configuration used.
 
 from __future__ import annotations
 
+import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-__all__ = ["AnECIConfig", "TASK_EPOCHS"]
+import numpy as np
+
+__all__ = ["AnECIConfig", "TASK_EPOCHS", "config_key", "config_fingerprint",
+           "graph_fingerprint", "run_key"]
 
 #: Per-task epoch budgets from Section V-D.
 TASK_EPOCHS = {
@@ -70,26 +74,6 @@ class AnECIConfig:
         ``"float32"`` (half the memory bandwidth, faster on large
         graphs, metric parity within small tolerances).  The default is
         taken from the ``REPRO_DTYPE`` environment variable when set.
-    divergence_policy:
-        What to do when an epoch produces a non-finite loss or gradient:
-        ``"recover"`` (restore the last good state, back off the
-        learning rate, re-seed after repeated failures — the default),
-        ``"raise"`` (fail fast with ``DivergenceError``), or ``"off"``
-        (legacy behaviour).  Default from ``REPRO_DIVERGENCE_POLICY``.
-    max_recoveries / lr_backoff / reseed_after:
-        Recovery budget per restart, the learning-rate multiplier
-        applied on each recovery, and how many consecutive recoveries
-        escalate to a model re-seed (see
-        :class:`repro.resilience.guards.RecoveryPolicy`).
-    checkpoint_dir:
-        When set, the fit writes crash-safe snapshots under this
-        directory (namespaced by a run key derived from graph + config)
-        and ``fit(resume_from=...)`` can continue an interrupted run.
-        Default from ``REPRO_CHECKPOINT_DIR``; ``None`` disables
-        checkpointing.
-    checkpoint_every:
-        Epoch interval between snapshots (``None``: the
-        ``REPRO_CHECKPOINT_EVERY`` environment variable, else 25).
     train_mode:
         ``"full"`` (the default — the historical full-batch epoch,
         bit-identical to every release so far) or ``"sampled"``
@@ -136,15 +120,6 @@ class AnECIConfig:
     katz_beta: float = 0.2
     dtype: str = field(
         default_factory=lambda: os.environ.get("REPRO_DTYPE", "float64"))
-    divergence_policy: str = field(
-        default_factory=lambda: os.environ.get("REPRO_DIVERGENCE_POLICY",
-                                               "recover"))
-    max_recoveries: int = 3
-    lr_backoff: float = 0.5
-    reseed_after: int = 2
-    checkpoint_dir: str | None = field(
-        default_factory=lambda: os.environ.get("REPRO_CHECKPOINT_DIR") or None)
-    checkpoint_every: int | None = None
     train_mode: str = field(
         default_factory=lambda: os.environ.get("REPRO_TRAIN_MODE", "full"))
     batch_nodes: int = field(
@@ -184,17 +159,6 @@ class AnECIConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
-        if self.divergence_policy not in ("recover", "raise", "off"):
-            raise ValueError("divergence_policy must be 'recover', 'raise' "
-                             "or 'off'")
-        if self.max_recoveries < 0:
-            raise ValueError("max_recoveries must be >= 0")
-        if not 0.0 < self.lr_backoff <= 1.0:
-            raise ValueError("lr_backoff must be in (0, 1]")
-        if self.reseed_after < 1:
-            raise ValueError("reseed_after must be >= 1")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if self.train_mode not in ("full", "sampled"):
             raise ValueError("train_mode must be 'full' or 'sampled'")
         if self.batch_nodes < 2:
@@ -206,3 +170,41 @@ class AnECIConfig:
             raise ValueError("negative_samples must be >= 1")
         if self.fanout < 1:
             raise ValueError("fanout must be >= 1")
+
+
+# --------------------------------------------------------------------- #
+# Run identity                                                           #
+# --------------------------------------------------------------------- #
+def config_key(config) -> str:
+    """Canonical string of every config field."""
+    fields = asdict(config)
+    items = sorted((k, repr(v)) for k, v in fields.items())
+    return repr(items)
+
+
+def config_fingerprint(config) -> str:
+    """Short digest of :func:`config_key` — the config half of the run
+    identity, recorded on its own in run-ledger entries so two runs can
+    be told apart as "same graph, different config" at a glance."""
+    return hashlib.blake2b(config_key(config).encode(),
+                           digest_size=8).hexdigest()
+
+
+def graph_fingerprint(graph) -> str:
+    """Digest of the graph content (adjacency CSR arrays + features)."""
+    adjacency = graph.adjacency
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr(adjacency.shape).encode())
+    digest.update(adjacency.indptr.tobytes())
+    digest.update(adjacency.indices.tobytes())
+    digest.update(adjacency.data.tobytes())
+    digest.update(np.ascontiguousarray(graph.features).tobytes())
+    return digest.hexdigest()
+
+
+def run_key(graph, config) -> str:
+    """Content-derived identity of one (graph, config) fit."""
+    digest = hashlib.blake2b(digest_size=8)
+    digest.update(config_key(config).encode())
+    digest.update(graph_fingerprint(graph).encode())
+    return digest.hexdigest()

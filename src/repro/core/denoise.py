@@ -21,6 +21,7 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..obs import events, metrics, store, trace
+from .config import config_fingerprint, run_key
 from .scores import edge_anomaly_scores
 
 __all__ = ["AnECIPlus", "DenoiseResult", "smoothing_psi"]
@@ -74,18 +75,11 @@ class AnECIPlus:
         self._denoised_graph: Graph | None = None
 
     # ------------------------------------------------------------------ #
-    def fit(self, graph: Graph, workers: int | None = None,
-            resume_from: str | None = None) -> "AnECIPlus":
+    def fit(self, graph: Graph, workers: int | None = None) -> "AnECIPlus":
         """Run both phases of Algorithm 1 on ``graph``.
 
         ``workers`` is forwarded to both stage fits, parallelising their
         ``n_init`` restarts (see :meth:`repro.core.aneci.AnECI.fit`).
-
-        ``resume_from`` (a checkpoint directory) gives **stage-level
-        resume**: each stage trains on a different graph, so the two
-        fits occupy distinct run keys under the same directory — a
-        completed stage 1 restores from its final snapshot without
-        retraining, a half-done stage 2 continues mid-run.
 
         With ``REPRO_RUN_DIR`` set the whole pass records a
         ``denoise:<run key>`` ledger entry (keyed by the *input* graph
@@ -93,8 +87,7 @@ class AnECIPlus:
         record their own ``fit:`` entries.
         """
         if not store.enabled():
-            return self._fit_impl(graph, workers, resume_from)
-        from ..resilience.checkpoint import config_fingerprint, run_key
+            return self._fit_impl(graph, workers)
         cfg = self._factory().config
         with store.capture_run(
                 "denoise", f"denoise:{run_key(graph, cfg)}",
@@ -105,7 +98,7 @@ class AnECIPlus:
                 config=config_fingerprint(cfg), dtype=str(cfg.dtype),
                 psi={"alpha": self.alpha, "beta": self.beta,
                      "gamma": self.gamma}) as run:
-            self._fit_impl(graph, workers, resume_from)
+            self._fit_impl(graph, workers)
             result = self.denoise_result
             run["final"] = {
                 "drop_ratio": result.drop_ratio,
@@ -116,11 +109,9 @@ class AnECIPlus:
             }
         return self
 
-    def _fit_impl(self, graph: Graph, workers: int | None,
-                  resume_from: str | None) -> "AnECIPlus":
+    def _fit_impl(self, graph: Graph, workers: int | None) -> "AnECIPlus":
         with trace.span("denoise/stage1"):
-            self.stage1 = self._factory().fit(graph, workers=workers,
-                                              resume_from=resume_from)
+            self.stage1 = self._factory().fit(graph, workers=workers)
             embedding = self.stage1.embed(graph)
 
         with trace.span("denoise/score"):
@@ -151,8 +142,7 @@ class AnECIPlus:
         self._denoised_graph = denoised
 
         with trace.span("denoise/stage2"):
-            self.stage2 = self._factory().fit(denoised, workers=workers,
-                                              resume_from=resume_from)
+            self.stage2 = self._factory().fit(denoised, workers=workers)
         return self
 
     # ------------------------------------------------------------------ #
@@ -161,10 +151,9 @@ class AnECIPlus:
         self._require_fitted()
         return self.stage2.embed(graph or self._denoised_graph)
 
-    def fit_transform(self, graph: Graph, workers: int | None = None,
-                      resume_from: str | None = None) -> np.ndarray:
-        return self.fit(graph, workers=workers,
-                        resume_from=resume_from).embed()
+    def fit_transform(self, graph: Graph,
+                      workers: int | None = None) -> np.ndarray:
+        return self.fit(graph, workers=workers).embed()
 
     def membership(self, graph: Graph | None = None) -> np.ndarray:
         self._require_fitted()

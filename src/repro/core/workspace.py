@@ -51,7 +51,8 @@ __all__ = [
 
 def dense_gather_cap() -> int:
     """Densify the reconstruction target eagerly only below this node
-    count; above it the sampled path gathers blocks from the sparse
+    count; above it the full-batch block path (more nodes than
+    ``recon_sample_size``) gathers each epoch's block from the sparse
     matrix.  At the default cap a dense target tops out at ~128 MB of
     float64 (half that in float32).  Read from the environment on every
     build so tests and long-lived processes can retune it."""

@@ -48,10 +48,10 @@ __all__ = [
 
 
 #: Fault-tolerance counters surfaced per experiment: how often the run
-#: leaned on a recovery path (injected faults, divergence recoveries,
-#: task retries, pool fallbacks) while producing its result.
-_RESILIENCE_COUNTERS = ("faults.injected", "resilience.recoveries",
-                        "parallel.retries", "parallel.fallbacks")
+#: leaned on a recovery path (injected faults, task retries, pool
+#: fallbacks) while producing its result.
+_RESILIENCE_COUNTERS = ("faults.injected", "parallel.retries",
+                        "parallel.fallbacks")
 
 
 def _resilience_counts() -> dict[str, int]:
@@ -66,7 +66,7 @@ def _observed(fn):
 
     The event carries the run's resilience-counter deltas, so a chaos
     run (or a flaky machine) shows *how* the result was produced — e.g.
-    ``recoveries=2, task_retries=1`` — right next to the metrics.
+    ``faults_injected=2, task_retries=1`` — right next to the metrics.
 
     With ``REPRO_RUN_DIR`` set the result additionally lands in the run
     ledger as an ``exp:<name>:<graph>`` entry whose ``final`` dict holds
@@ -85,7 +85,6 @@ def _observed(fn):
                     duration_s=result.duration_s,
                     methods=sorted(result.rows),
                     faults_injected=deltas["faults.injected"],
-                    recoveries=deltas["resilience.recoveries"],
                     task_retries=deltas["parallel.retries"],
                     pool_fallbacks=deltas["parallel.fallbacks"],
                     **result.metadata)

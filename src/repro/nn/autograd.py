@@ -20,6 +20,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import weakref
 from typing import Callable, Iterable, Sequence
@@ -37,7 +38,9 @@ __all__ = ["Tensor", "tensor", "no_grad", "is_grad_enabled", "spmm",
            "resolve_dtype", "get_default_dtype", "default_dtype",
            "stable_softmax", "dtype_matched_csr", "pair_dots"]
 
-_GRAD_ENABLED = True
+#: Grad mode is per thread (and per asyncio task): ``no_grad`` in one
+#: thread must not stop graph recording in another thread's fit.
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 
 #: Dtypes the engine is parameterised over.  Everything that is not one
 #: of these (ints, bools, python lists) is coerced to the default dtype
@@ -102,19 +105,17 @@ def legacy_graph_cycles():
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables computation-graph recording."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable computation-graph recording in the current thread."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 def _as_array(value, dtype: np.dtype | None = None) -> np.ndarray:
@@ -246,7 +247,8 @@ class Tensor:
         moment the loss goes out of scope instead of lingering for the
         cyclic collector (a large, allocation-churn win on N×N graphs).
         """
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = (_GRAD_ENABLED.get()
+                    and any(p.requires_grad for p in parents))
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -765,7 +767,8 @@ def fused_gcn_layer(x: Tensor, weight: Tensor, matrix: sp.spmatrix,
         matrix = dtype_matched_csr(matrix, x.data.dtype)
     aggregate_first = matrix.shape[1] > matrix.shape[0]
     parents = (x, weight) if bias is None else (x, weight, bias)
-    records = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    records = (_GRAD_ENABLED.get()
+               and any(p.requires_grad for p in parents))
     transpose = None
     if records and (x.requires_grad or not aggregate_first):
         transpose = (cached_transpose(matrix) if _TRANSPOSE_CACHE_ENABLED

@@ -69,49 +69,6 @@ class Optimizer:
             return buf
         return grad
 
-    # -- snapshot protocol (divergence guard + checkpointing) ----------- #
-    def _snapshot_buffers(self) -> list[np.ndarray]:
-        """Persistent state arrays a snapshot must cover (subclass hook).
-        Scratch buffers are excluded: they are overwritten every step."""
-        return []
-
-    def _snapshot_scalars(self) -> dict:
-        """Persistent scalar state (subclass hook)."""
-        return {"lr": float(self.lr)}
-
-    def _load_scalars(self, scalars: dict) -> None:
-        self.lr = float(scalars["lr"])
-
-    def capture(self, into: dict | None = None) -> dict:
-        """Copy the optimiser state into ``into`` (allocated on first
-        use, then reused — the per-epoch path is allocation-free)."""
-        buffers = self._snapshot_buffers()
-        if into is None:
-            into = {"buffers": [np.empty_like(b) for b in buffers]}
-        for dst, src in zip(into["buffers"], buffers):
-            np.copyto(dst, src)
-        into["scalars"] = self._snapshot_scalars()
-        return into
-
-    def restore(self, state: dict) -> None:
-        """Restore a :meth:`capture`/:meth:`state_dict` snapshot in place."""
-        self.load_state_dict(state)
-
-    def state_dict(self) -> dict:
-        """Owning copy of the optimiser state (for checkpoints)."""
-        return {"buffers": [b.copy() for b in self._snapshot_buffers()],
-                "scalars": self._snapshot_scalars()}
-
-    def load_state_dict(self, state: dict) -> None:
-        buffers = self._snapshot_buffers()
-        if len(state["buffers"]) != len(buffers):
-            raise ValueError(
-                f"optimizer state has {len(state['buffers'])} buffers, "
-                f"expected {len(buffers)}")
-        for dst, src in zip(buffers, state["buffers"]):
-            np.copyto(dst, src)
-        self._load_scalars(state["scalars"])
-
 
 class SGD(Optimizer):
     """Stochastic gradient descent with optional classical momentum."""
@@ -122,9 +79,6 @@ class SGD(Optimizer):
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.params]
         self._buf = [np.empty_like(p.data) for p in self.params]
-
-    def _snapshot_buffers(self) -> list[np.ndarray]:
-        return self._velocity
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
@@ -149,16 +103,6 @@ class Adam(Optimizer):
         # update: t holds (1-β)·g, g², m̂ and the final step; u holds v̂.
         self._t = [np.empty_like(p.data) for p in self.params]
         self._u = [np.empty_like(p.data) for p in self.params]
-
-    def _snapshot_buffers(self) -> list[np.ndarray]:
-        return self._m + self._v
-
-    def _snapshot_scalars(self) -> dict:
-        return {"lr": float(self.lr), "step": int(self._step)}
-
-    def _load_scalars(self, scalars: dict) -> None:
-        super()._load_scalars(scalars)
-        self._step = int(scalars["step"])
 
     def step(self) -> None:
         self._step += 1

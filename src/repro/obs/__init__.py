@@ -7,10 +7,9 @@ listening so the library can stay instrumented permanently:
     A process-wide event bus.  ``events.emit("epoch", loss=...)`` is a
     no-op until a sink (e.g. :class:`~repro.obs.events.JsonlSink`)
     subscribes; training, denoising and the experiment runners emit
-    structured records through it, and the fault-tolerant runtime
-    (:mod:`repro.resilience`) reports every incident on it —
-    ``divergence``/``recovery``, ``checkpoint``/``checkpoint_resume``/
-    ``checkpoint_corrupt``, ``task_retry`` and ``fault_injected``.
+    structured records through it, and the process pool and the
+    fault-injection harness report every incident on it —
+    ``task_retry``, ``parallel_fallback`` and ``fault_injected``.
 ``metrics``
     A registry of named counters, gauges and monotonic timers with a
     single ``snapshot()`` for exporting.

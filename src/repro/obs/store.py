@@ -1,8 +1,8 @@
 """Persistent, crash-safe run ledger: JSONL segments + an atomic index.
 
 Every fit/denoise/experiment/benchmark run can leave one durable entry
-behind — keyed by the content-derived run key already used by
-:mod:`repro.resilience.checkpoint` — so runs become comparable across
+behind — keyed by the content-derived run key of
+:func:`repro.core.config.run_key` — so runs become comparable across
 processes: ``repro obs runs list/show/diff/export`` reads the ledger,
 and :mod:`repro.obs.regress` judges a fresh run against its own history.
 
@@ -12,8 +12,7 @@ Storage layout (one directory per ledger)::
     <dir>/segment-000002.jsonl    (rotated at ``segment_bytes``)
     <dir>/index.json              atomic summary index (tmp+fsync+rename)
 
-Durability discipline mirrors :class:`~repro.resilience.checkpoint.
-CheckpointManager`: entry lines are flushed and fsynced before the index
+Durability discipline: entry lines are flushed and fsynced before the index
 is rewritten atomically, so a crash at any point leaves either a fully
 indexed entry, an unindexed-but-valid line (recovered by
 :meth:`RunLedger.rebuild` on the next load), or a torn trailing line
@@ -48,7 +47,7 @@ _SEGMENT_NAME = re.compile(r"^segment-(\d{6})\.jsonl$")
 INDEX_NAME = "index.json"
 
 #: Metric prefixes summarised into each entry's ``resilience`` field.
-RESILIENCE_PREFIXES = ("resilience.", "checkpoint.", "faults.", "parallel.")
+RESILIENCE_PREFIXES = ("faults.", "parallel.")
 
 
 def default_run_dir() -> str | None:

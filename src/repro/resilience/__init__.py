@@ -1,48 +1,24 @@
-"""Fault-tolerant training runtime: guards, checkpoints, fault injection.
+"""Deterministic fault injection for chaos testing.
 
-The subsystem has three layers, mirroring the failure modes a long fit
-can hit:
+:mod:`~repro.resilience.faultinject` is a fault-injection harness driven
+by the ``REPRO_FAULTS`` environment variable (or
+:func:`~repro.resilience.faultinject.install`): seeded, repeatable
+injection of worker crashes and task timeouts in the process pool
+(:mod:`repro.parallel`) and of slow, failing, shed or corrupt reads in
+the serving layer (:mod:`repro.serve`) — what the resilience tests and
+the CI chaos leg run on.
 
-``guards``
-    Per-epoch divergence detection (non-finite loss or gradients) with a
-    configurable :class:`~repro.resilience.guards.RecoveryPolicy`:
-    restore the last good state, back off the learning rate, re-seed
-    after repeated failures, and give up with
-    :class:`~repro.resilience.guards.DivergenceError` once the recovery
-    budget is spent.
-``checkpoint``
-    Crash-safe snapshots: atomic (write-temp, fsync, rename) files with
-    an embedded checksum, so a truncated or bit-flipped checkpoint is
-    *rejected at load time* and the loader falls back to the previous
-    snapshot.  :class:`~repro.resilience.checkpoint.CheckpointManager`
-    namespaces checkpoints by a content-derived run key (graph + config)
-    so any number of fits can share one ``--checkpoint-dir``.
-``faultinject``
-    A deterministic fault-injection harness driven by the
-    ``REPRO_FAULTS`` environment variable (or
-    :func:`~repro.resilience.faultinject.install`): seeded, repeatable
-    injection of NaN losses, worker crashes, task timeouts and corrupted
-    checkpoint bytes — what the resilience tests and the CI chaos leg
-    run on.
+Every firing reports through :mod:`repro.obs` as a ``fault_injected``
+event and the ``faults.injected`` counter.  Nothing in this package
+imports :mod:`repro.core`, so any layer can depend on it without
+cycles.
 
-Everything reports through :mod:`repro.obs`: ``divergence`` /
-``recovery`` / ``checkpoint`` / ``checkpoint_resume`` /
-``checkpoint_corrupt`` / ``fault_injected`` events plus
-``resilience.*`` and ``checkpoint.*`` counters.  Nothing in this
-package imports :mod:`repro.core`, so the model layer can depend on it
-without cycles.
+Training has no recovery path: an epoch with a non-finite loss or
+gradient raises :class:`repro.core.aneci.DivergenceError`.
 """
 
-from . import checkpoint, faultinject, guards
-from .checkpoint import (CheckpointError, CheckpointManager,
-                         read_checkpoint, write_checkpoint)
+from . import faultinject
 from .faultinject import FaultPlan, FaultSpec, active_plan, fire, injected
-from .guards import DivergenceError, DivergenceGuard, RecoveryPolicy
 
-__all__ = [
-    "checkpoint", "faultinject", "guards",
-    "CheckpointError", "CheckpointManager", "read_checkpoint",
-    "write_checkpoint",
-    "FaultPlan", "FaultSpec", "active_plan", "fire", "injected",
-    "DivergenceError", "DivergenceGuard", "RecoveryPolicy",
-]
+__all__ = ["faultinject", "FaultPlan", "FaultSpec", "active_plan", "fire",
+           "injected"]

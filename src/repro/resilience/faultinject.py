@@ -26,20 +26,16 @@ the injection point's context carries that field with that exact value.
 
 Examples::
 
-    REPRO_FAULTS="nan_loss@epoch=3"                 # NaN the loss of epoch 3
     REPRO_FAULTS="worker_crash@task=1,attempt=0"    # kill first try of task 1
     REPRO_FAULTS="timeout@task=2,attempt=0,s=5"     # hang task 2 for 5 s once
-    REPRO_FAULTS="checkpoint_corrupt@save=1"        # corrupt the 2nd snapshot
-    REPRO_FAULTS="nan_loss@p=0.2,seed=7"            # 20% of epochs, seeded
+    REPRO_FAULTS="slow_index@p=0.2,seed=7,s=0.3"    # 20% of scans, seeded
 
 Probabilistic firing hashes ``(seed, kind, sorted context)`` — not a
 shared RNG stream — so decisions are independent of evaluation order
 and identical across processes.
 
-Fault kinds wired into the runtime: ``nan_loss`` (training loss, keyed
-by ``epoch``/``restart``), ``worker_crash`` and ``timeout`` (pool
-tasks, keyed by ``task``/``attempt``), ``checkpoint_corrupt``
-(snapshot writes, keyed by ``save``).  The serving layer adds
+Fault kinds wired into the runtime: ``worker_crash`` and ``timeout``
+(pool tasks, keyed by ``task``/``attempt``).  The serving layer adds
 ``slow_index`` (sleeps ``s`` seconds at the index scan) and
 ``index_error`` (raises there), both keyed by the per-server batch
 ``call``; ``queue_overflow`` (sheds at admission, keyed by the

@@ -7,9 +7,9 @@ Three layers turn a finished fit into a high-throughput query surface:
     atomically (tmp + fsync + rename) under a BLAKE2b-checksummed
     manifest and loaded back **memory-mapped**, so a 1M×128 matrix
     serves without ever being materialised in RAM.  Versions are keyed
-    by the content-derived run key from
-    :mod:`repro.resilience.checkpoint`; corruption falls back to the
-    previous version exactly like ``CheckpointManager.load_latest``.
+    by the content-derived run key from :func:`repro.core.config.run_key`;
+    corruption falls back to the previous version in the pointer
+    history.
 
 :mod:`repro.serve.index`
     Exact k-NN over the L2-normalised embeddings (a blocked matmul over

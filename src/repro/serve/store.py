@@ -7,7 +7,7 @@ Layout (one directory per store)::
     <dir>/versions/<version>/manifest.json     BLAKE2b-checksummed manifest
     <dir>/CURRENT.json                         atomic pointer + history
 
-Every file is written with the checkpoint discipline — payload to a
+Every file is written atomically — payload to a
 ``.tmp`` sibling, flushed, fsynced, renamed over the final path — so a
 crash mid-publish can never leave a half-written shard under a live
 name, and the ``CURRENT.json`` pointer flips to a new version only
@@ -20,11 +20,10 @@ digest per shard plus a digest of its own canonical payload;
 handing back a :class:`ServingStore` whose arrays are **memory-mapped**
 (``np.load(mmap_mode="r")``).  A corrupt or truncated manifest/shard is
 rejected with a warning + ``serve_store_corrupt`` event and the loader
-falls back to the previous version in the pointer history, mirroring
-``CheckpointManager.load_latest``.
+falls back to the previous version in the pointer history.
 
 Versions are keyed by the caller — models use the content-derived run
-key from :mod:`repro.resilience.checkpoint`, so re-exporting the same
+key from :func:`repro.core.config.run_key`, so re-exporting the same
 (graph, config) fit overwrites its own version while a changed fit
 publishes a fresh one.
 """

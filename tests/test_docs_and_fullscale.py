@@ -58,6 +58,24 @@ class TestReadmeFidelity:
         for bench in (ROOT / "benchmarks").glob("test_*.py"):
             assert bench.name in text, f"{bench.name} undocumented"
 
+    def test_env_table_matches_the_code(self):
+        """README's env table lists every ``REPRO_*`` name the package
+        reads, and every name it lists is read somewhere."""
+        def read_in(*dirs):
+            names = set()
+            for directory in dirs:
+                for path in (ROOT / directory).rglob("*.py"):
+                    names.update(re.findall(r"""["'](REPRO_[A-Z0-9_]+)["']""",
+                                            path.read_text()))
+            return names
+
+        readme = (ROOT / "README.md").read_text()
+        table = readme[readme.index("Every `REPRO_*` knob"):]
+        table = table[:table.index("\n\n", table.index("| `REPRO_"))]
+        rows = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", table, re.M))
+        assert read_in("src") - rows == set()
+        assert rows - read_in("src", "benchmarks", "tools") == set()
+
 
 class TestFullScaleCalibration:
     @pytest.fixture(scope="class")

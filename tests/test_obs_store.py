@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core import AnECI
+from repro.core.config import config_fingerprint, run_key
 from repro.graph import planted_partition
 from repro.obs import events, metrics, trace
 from repro.obs import export, regress, store
 from repro.obs.events import JsonlSink, MemorySink
 from repro.obs.store import RunLedger
 from repro.obs.trace import Tracer
-from repro.resilience.checkpoint import config_fingerprint, run_key
 
 
 @pytest.fixture(scope="module")

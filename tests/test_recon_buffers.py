@@ -9,7 +9,9 @@ The contract under test:
   replaced, for any dtype, reduction, weights and non-finite logits;
 * a buffer set never leaks one call's values into another's results;
 * after its first epoch a fit allocates no N×N array per epoch;
-* the buffers belong to one fit, so concurrent fits do not share them.
+* the buffers belong to one fit, so concurrent fits do not share them;
+* grad mode is per thread, so ``no_grad`` elsewhere cannot stop a fit
+  from recording its graph.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import AnECI, workspace_cache
 from repro.graph.generators import planted_partition
-from repro.nn import backend as kernels
+from repro.nn import backend as kernels, no_grad
 
 
 # --------------------------------------------------------------------- #
@@ -207,6 +209,35 @@ def test_concurrent_fits_keep_their_own_buffers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    # Embedding runs under no_grad, a process-wide switch, so it waits
-    # until both fits are done.
     assert [_digest(model) for model in models] == serial
+
+
+def test_no_grad_in_another_thread_leaves_a_fit_recording():
+    graph = planted_partition(3, 60, 0.3, 0.05, np.random.default_rng(2),
+                              num_features=16)
+    other = AnECI(graph.num_features, num_communities=3, epochs=3,
+                  seed=1).fit(graph)
+    model = AnECI(graph.num_features, num_communities=3, epochs=30,
+                  lr=0.02, seed=0)
+    serial = _digest(model.fit(graph))
+    inside, stop = threading.Event(), threading.Event()
+
+    def embed_loop():
+        with no_grad():
+            inside.set()
+            while not stop.is_set():
+                other.embed()
+
+    thread = threading.Thread(target=embed_loop)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-epoch
+    try:
+        thread.start()
+        assert inside.wait(timeout=60)
+        model.fit(graph)
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert _digest(model) == serial

@@ -1,9 +1,10 @@
-"""The fault-tolerant training runtime: guards, checkpoints, chaos.
+"""Failure handling: fault injection, the finite-loss check, bad inputs.
 
-The contract under test: with no faults injected the resilience layer
-is bit-invisible (guarded == unguarded, checkpointed == plain,
-resumed == uninterrupted); with faults injected the run still finishes,
-deterministically, and leaves an audit trail of events and counters.
+The contract under test: injected pool faults are absorbed
+deterministically and leave an audit trail of events and counters; a
+non-finite loss or gradient stops a fit with a :class:`DivergenceError`
+naming the epoch and restart; and degenerate but valid graphs train to
+a finite loss, while malformed ones fail by name at construction.
 """
 
 import json
@@ -11,20 +12,18 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.core import AnECI
+import repro
+from repro.core import AnECI, aneci
+from repro.core.aneci import DivergenceError
+from repro.core.config import (AnECIConfig, config_fingerprint, run_key)
 from repro.graph import Graph
 from repro.graph.generators import planted_partition
 from repro.obs import events, metrics
 from repro.obs.events import MemorySink
 from repro.parallel import ParallelExecutor
-from repro.resilience import (CheckpointError, CheckpointManager,
-                              DivergenceError, DivergenceGuard,
-                              RecoveryPolicy)
 from repro.resilience import faultinject
-from repro.core.config import AnECIConfig
-from repro.resilience.checkpoint import (config_fingerprint, read_checkpoint,
-                                         run_key, write_checkpoint)
 from repro.resilience.faultinject import parse_plan
 
 
@@ -53,13 +52,14 @@ def _model(graph, **overrides):
 # --------------------------------------------------------------------- #
 class TestFaultPlan:
     def test_parse_matchers_params_and_count(self):
-        plan = parse_plan("nan_loss@epoch=3;timeout@task=2,s=5.5*2")
+        plan = parse_plan("worker_crash@task=3;timeout@task=2,s=5.5*2")
         assert len(plan.specs) == 2
-        assert plan.specs[0].kind == "nan_loss"
-        assert plan.specs[0].matchers == {"epoch": 3}
+        assert plan.specs[0].kind == "worker_crash"
+        assert plan.specs[0].matchers == {"task": 3}
         assert plan.specs[1].params == {"s": 5.5}
         assert plan.specs[1].count == 2
 
+    # The parser is kind-agnostic: these kinds need not exist.
     @pytest.mark.parametrize("text", [
         "nan_loss@epoch",           # not key=value
         "nan_loss@epoch=abc",       # non-integer matcher
@@ -73,20 +73,20 @@ class TestFaultPlan:
             parse_plan(text)
 
     def test_fire_respects_matchers_and_budget(self):
-        plan = parse_plan("nan_loss@epoch=3*1")
-        assert plan.fire("nan_loss", epoch=2) is None
-        assert plan.fire("nan_loss", epoch=3) is not None
-        assert plan.fire("nan_loss", epoch=3) is None  # budget spent
+        plan = parse_plan("worker_crash@task=3*1")
+        assert plan.fire("worker_crash", task=2) is None
+        assert plan.fire("worker_crash", task=3) is not None
+        assert plan.fire("worker_crash", task=3) is None  # budget spent
 
     def test_module_fire_is_noop_without_plan(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert faultinject.fire("nan_loss", epoch=0) is None
+        assert faultinject.fire("worker_crash", task=0) is None
 
     def test_env_plan_is_reread_on_change(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "nan_loss@epoch=1")
-        assert faultinject.fire("nan_loss", epoch=1) is not None
+        monkeypatch.setenv("REPRO_FAULTS", "worker_crash@task=1")
+        assert faultinject.fire("worker_crash", task=1) is not None
         monkeypatch.setenv("REPRO_FAULTS", "")
-        assert faultinject.fire("nan_loss", epoch=1) is None
+        assert faultinject.fire("worker_crash", task=1) is None
 
     def test_injected_override_restores_previous(self):
         with faultinject.injected("worker_crash@task=0"):
@@ -94,19 +94,20 @@ class TestFaultPlan:
         assert faultinject.fire("worker_crash", task=0) is None
 
     def test_probabilistic_firing_is_deterministic(self):
-        fires = [parse_plan("nan_loss@p=0.5,seed=7").fire("nan_loss", epoch=e)
-                 is not None for e in range(50)]
-        again = [parse_plan("nan_loss@p=0.5,seed=7").fire("nan_loss", epoch=e)
-                 is not None for e in range(50)]
-        assert fires == again
+        def fired(text, calls):
+            plan = parse_plan(text)
+            return [plan.fire("slow_index", call=c) is not None
+                    for c in range(calls)]
+
+        fires = fired("slow_index@p=0.5,seed=7", 50)
+        assert fires == fired("slow_index@p=0.5,seed=7", 50)
         assert any(fires) and not all(fires)
-        assert not any(parse_plan("nan_loss@p=0").fire("nan_loss", epoch=e)
-                       is not None for e in range(10))
+        assert not any(fired("slow_index@p=0", 10))
 
     def test_firing_emits_event_and_counter(self, sink):
         metrics.registry().reset()
-        parse_plan("nan_loss").fire("nan_loss", epoch=4)
-        assert sink.by_kind("fault_injected")[0]["epoch"] == 4
+        parse_plan("index_error").fire("index_error", call=4)
+        assert sink.by_kind("fault_injected")[0]["call"] == 4
         assert metrics.registry().counter("faults.injected").value == 1
 
     def test_probabilistic_decisions_identical_across_processes(self):
@@ -115,8 +116,6 @@ class TestFaultPlan:
         evaluation order."""
         import subprocess
         import sys
-
-        import repro
 
         plan = "chaosdemo@p=0.35,seed=11"
         src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -145,344 +144,147 @@ class TestFaultPlan:
 
 
 # --------------------------------------------------------------------- #
-# Checkpoint file format                                                #
+# Run identity                                                          #
 # --------------------------------------------------------------------- #
-class TestCheckpointFormat:
-    def test_roundtrip_preserves_arrays_meta_and_dtype(self, tmp_path):
-        path = str(tmp_path / "x.ckpt")
-        arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
-                  "b": np.array([1.5, -2.5])}
-        write_checkpoint(path, arrays, {"epoch": 7, "nested": {"q": 0.5}})
-        loaded, meta = read_checkpoint(path)
-        assert loaded["w"].dtype == np.float32
-        assert np.array_equal(loaded["w"], arrays["w"])
-        assert np.array_equal(loaded["b"], arrays["b"])
-        assert meta == {"epoch": 7, "nested": {"q": 0.5}}
-
-    def test_truncated_file_is_rejected(self, tmp_path):
-        path = str(tmp_path / "x.ckpt")
-        write_checkpoint(path, {"w": np.ones(4)}, {"epoch": 0})
-        size = os.path.getsize(path)
-        with open(path, "r+b") as fh:
-            fh.truncate(size // 2)
-        with pytest.raises(CheckpointError, match="checksum"):
-            read_checkpoint(path)
-
-    def test_foreign_file_is_rejected(self, tmp_path):
-        path = tmp_path / "x.ckpt"
-        path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(CheckpointError, match="magic"):
-            read_checkpoint(str(path))
-
-    def test_run_key_tracks_trajectory_not_plumbing(self, small_graph,
-                                                    tmp_path):
-        base = _model(small_graph)
-        other_lr = _model(small_graph, lr=0.01)
-        redirected = _model(small_graph,
-                            checkpoint_dir=str(tmp_path / "elsewhere"))
-        key = run_key(small_graph, base.config)
-        assert run_key(small_graph, other_lr.config) != key
-        assert run_key(small_graph, redirected.config) == key
-
-
-class TestCheckpointManager:
-    def test_due_counts_completed_epochs(self):
-        manager = CheckpointManager("unused", every=4)
-        assert [manager.due(e) for e in range(8)] == \
-            [False, False, False, True, False, False, False, True]
-
-    def test_prune_keeps_newest_per_restart(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path), every=1, keep=2)
-        for epoch in range(5):
-            manager.save_epoch({"w": np.full(2, epoch)}, {"epoch": epoch},
-                               restart=0, epoch=epoch)
-        names = sorted(os.listdir(tmp_path))
-        assert names == ["ckpt-r0000-e0000003.ckpt",
-                         "ckpt-r0000-e0000004.ckpt"]
-
-    def test_load_latest_falls_back_past_corrupt_newest(self, tmp_path,
-                                                        sink):
-        manager = CheckpointManager(str(tmp_path), every=1, keep=3)
-        for epoch in (0, 1):
-            manager.save_epoch({"w": np.full(2, epoch)}, {"epoch": epoch},
-                               restart=0, epoch=epoch)
-        newest = tmp_path / "ckpt-r0000-e0000001.ckpt"
-        newest.write_bytes(newest.read_bytes()[:40])
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            arrays, meta = manager.load_latest()
-        assert meta["epoch"] == 0
-        assert len(sink.by_kind("checkpoint_corrupt")) == 1
-
-    def test_load_latest_none_when_nothing_validates(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path / "empty"))
-        assert manager.load_latest() is None
-
-    def test_final_snapshot_wins_over_epochs(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path), every=1)
-        manager.save_epoch({"w": np.zeros(2)}, {"epoch": 3}, restart=0,
-                           epoch=3)
-        manager.save_final({"w": np.ones(2)}, {"kind": "final"})
-        _, meta = manager.load_latest()
-        assert meta.get("kind") == "final"
-
-    def test_checkpoint_corrupt_injection_damages_file(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path), every=1, keep=2)
-        with faultinject.injected("checkpoint_corrupt@save=0"):
-            manager.save_epoch({"w": np.zeros(2)}, {"epoch": 0}, restart=0,
-                               epoch=0)
-        with pytest.raises(CheckpointError):
-            read_checkpoint(str(tmp_path / "ckpt-r0000-e0000000.ckpt"))
-
-
 class TestRunIdentity:
+    def test_run_key_tracks_config_and_graph(self, small_graph):
+        key = run_key(small_graph, _model(small_graph).config)
+        assert run_key(small_graph, _model(small_graph).config) == key
+        assert run_key(small_graph,
+                       _model(small_graph, lr=0.01).config) != key
+        other = small_graph.remove_edges(small_graph.edge_list()[:1])
+        assert run_key(other, _model(small_graph).config) != key
+
     def test_config_fingerprint_is_pinned(self):
         # Every env-defaulted field is passed explicitly so any CI env leg
         # builds the same config.  A change here invalidates the run key
-        # of every existing checkpoint and ledger entry.
+        # of every existing ledger entry and serving version.
         config = AnECIConfig(num_communities=3, dtype="float64",
-                             train_mode="full", divergence_policy="recover",
-                             batch_nodes=4096, edge_samples=8192,
-                             negative_samples=5, fanout=10)
-        assert config_fingerprint(config) == "167d91c40a00b0c9"
+                             train_mode="full", batch_nodes=4096,
+                             edge_samples=8192, negative_samples=5,
+                             fanout=10)
+        assert config_fingerprint(config) == "c94f0d5010beab0b"
 
 
 # --------------------------------------------------------------------- #
-# Divergence guard                                                      #
+# The finite-loss check                                                 #
 # --------------------------------------------------------------------- #
+_SAMPLED = dict(train_mode="sampled", batch_nodes=16, edge_samples=64,
+                negative_samples=2, fanout=4)
+
+
+def _mode_kwargs(train_mode):
+    return _SAMPLED if train_mode == "sampled" else {"train_mode": "full"}
+
+
 class _Param:
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
+    def __init__(self, grad):
+        self.grad = None if grad is None else np.asarray(grad, dtype=float)
 
 
-class _StubOptimizer:
-    def __init__(self, lr=0.1):
-        self.lr = lr
+class TestDivergenceCheck:
+    def test_finite_check_reads_loss_and_gradients(self):
+        assert aneci._finite(1.0, [_Param(None), _Param([0.5, 2.0])])
+        assert not aneci._finite(np.nan, [_Param([0.5])])
+        assert not aneci._finite(1.0, [_Param([0.5]), _Param([np.inf])])
 
-    def capture(self, into=None):
-        return {"lr": self.lr}
+    @pytest.mark.parametrize("train_mode", ["full", "sampled"])
+    def test_nonfinite_loss_raises_naming_epoch(self, small_graph,
+                                                monkeypatch, train_mode):
+        # The third epoch of the second restart gets a NaN modularity term.
+        name = ("sampled_modularity_tensor" if train_mode == "sampled"
+                else "generalized_modularity_tensor")
+        original = getattr(aneci, name)
+        calls = []
 
-    def restore(self, state):
-        self.lr = state["lr"]
+        def poisoned(*args, **kwargs):
+            calls.append(None)
+            term = original(*args, **kwargs)
+            return term * np.nan if len(calls) == 4 + 3 else term
 
+        monkeypatch.setattr(aneci, name, poisoned)
+        model = _model(small_graph, epochs=4, n_init=2,
+                       **_mode_kwargs(train_mode))
+        with pytest.raises(DivergenceError, match=r"epoch 2 \(restart 1\)"):
+            model.fit(small_graph, workers=1)
+        assert len(model.history) == 2
+        assert repro.DivergenceError is DivergenceError
 
-class TestDivergenceGuard:
-    def test_diverged_detects_nan_loss_and_grad(self):
-        param = _Param([1.0, 2.0])
-        assert DivergenceGuard.diverged(np.nan, [param])
-        assert not DivergenceGuard.diverged(1.0, [param])
-        param.grad = np.array([np.inf, 0.0])
-        assert DivergenceGuard.diverged(1.0, [param])
-
-    def test_handle_restores_committed_state_and_backs_off_lr(self):
-        param, opt = _Param([1.0, 2.0]), _StubOptimizer(lr=0.2)
-        guard = DivergenceGuard([param], opt, RecoveryPolicy(lr_backoff=0.5))
-        guard.commit()
-        param.data[:] = np.nan
-        assert guard.handle(loss=np.nan, epoch=3, restart=0) == "restored"
-        assert np.array_equal(param.data, [1.0, 2.0])
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_consecutive_failures_escalate_to_reseed(self):
-        param = _Param([1.0])
-        guard = DivergenceGuard([param], None,
-                                RecoveryPolicy(max_recoveries=5,
-                                               reseed_after=2))
-        guard.commit()
-        assert guard.handle(loss=np.nan, epoch=0, restart=0) == "restored"
-        assert guard.handle(loss=np.nan, epoch=1, restart=0) == "reseed"
-        guard.rebind([param], None)  # what the trainer does after a reseed
-        assert guard.handle(loss=np.nan, epoch=2, restart=0) == "restored"
-
-    def test_budget_exhaustion_raises(self):
-        guard = DivergenceGuard([_Param([1.0])], None,
-                                RecoveryPolicy(max_recoveries=1))
-        guard.commit()
-        guard.handle(loss=np.nan, epoch=0, restart=0)
-        with pytest.raises(DivergenceError, match="after 1 recovery"):
-            guard.handle(loss=np.nan, epoch=1, restart=0)
-
-    def test_raise_policy_fails_fast(self):
-        guard = DivergenceGuard([_Param([1.0])], None,
-                                RecoveryPolicy(mode="raise"))
-        with pytest.raises(DivergenceError):
-            guard.handle(loss=np.nan, epoch=0, restart=0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"mode": "explode"}, {"max_recoveries": -1},
-        {"lr_backoff": 0.0}, {"lr_backoff": 1.5}, {"reseed_after": 0},
-    ])
-    def test_policy_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RecoveryPolicy(**kwargs)
-
-    def test_state_roundtrips_through_meta(self):
-        guard = DivergenceGuard([_Param([1.0])], None, RecoveryPolicy())
-        guard.commit()
-        guard.handle(loss=np.nan, epoch=0, restart=0)
-        other = DivergenceGuard([_Param([1.0])], None, RecoveryPolicy())
-        other.load_state(json.loads(json.dumps(guard.state())))
-        assert other.recoveries == 1
+    def test_recovery_options_are_unknown(self, capsys):
+        from repro.cli import main
+        for field in ("divergence_policy", "max_recoveries", "lr_backoff",
+                      "reseed_after", "checkpoint_dir", "checkpoint_every"):
+            with pytest.raises(TypeError, match=field):
+                AnECIConfig(num_communities=3, **{field: None})
+        with pytest.raises(SystemExit):
+            main(["--checkpoint-dir=ckpts", "datasets"])
+        assert "--checkpoint-dir" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
-# Guarded training                                                      #
+# Degenerate graphs through fit                                         #
 # --------------------------------------------------------------------- #
-class TestGuardedFit:
-    def test_guard_is_bit_invisible_without_faults(self, small_graph):
-        guarded = _model(small_graph)
-        guarded.fit(small_graph)
-        legacy = _model(small_graph, divergence_policy="off")
-        legacy.fit(small_graph)
-        assert guarded.history == legacy.history
-        assert np.array_equal(guarded.embed(small_graph),
-                              legacy.embed(small_graph))
-
-    def test_injected_nan_loss_recovers_and_converges(self, small_graph,
-                                                      sink):
-        model = _model(small_graph, epochs=20)
-        with faultinject.injected("nan_loss@epoch=5"):
-            model.fit(small_graph)
-        # The diverged epoch consumes its index but records no history.
-        assert len(model.history) == 19
-        assert np.isfinite(model.selection_modularity)
-        assert len(sink.by_kind("divergence")) == 1
-        recovery, = sink.by_kind("recovery")
-        assert recovery["action"] == "restored"
-
-    def test_repeated_divergence_reseeds_and_completes(self, small_graph,
-                                                       sink):
-        model = _model(small_graph, epochs=20, reseed_after=2)
-        with faultinject.injected("nan_loss@epoch=5;nan_loss@epoch=6"):
-            model.fit(small_graph)
-        assert np.isfinite(model.selection_modularity)
-        actions = [r["action"] for r in sink.by_kind("recovery")]
-        assert actions == ["restored", "reseed"]
-
-    def test_exhausted_budget_raises_divergence_error(self, small_graph):
-        model = _model(small_graph, epochs=20, max_recoveries=1)
-        with faultinject.injected("nan_loss"):
-            with pytest.raises(DivergenceError):
-                model.fit(small_graph)
-
-    def test_raise_policy_surfaces_first_divergence(self, small_graph):
-        model = _model(small_graph, divergence_policy="raise")
-        with faultinject.injected("nan_loss@epoch=2"):
-            with pytest.raises(DivergenceError, match="epoch 2"):
-                model.fit(small_graph)
-
-    def test_config_rejects_bad_policy_values(self, small_graph):
-        with pytest.raises(ValueError):
-            _model(small_graph, divergence_policy="explode")
-        with pytest.raises(ValueError):
-            _model(small_graph, lr_backoff=0.0)
+def _isolated_nodes(graph):
+    adjacency = sp.block_diag([graph.adjacency,
+                               sp.csr_matrix((5, 5))]).tocsr()
+    features = np.vstack([graph.features,
+                          np.zeros((5, graph.num_features))])
+    return Graph(adjacency=adjacency, features=features)
 
 
-# --------------------------------------------------------------------- #
-# Checkpoint / resume through AnECI                                     #
-# --------------------------------------------------------------------- #
-def _fit_reference(graph, **overrides):
-    model = _model(graph, **overrides)
-    model.fit(graph)
-    return model
+def _self_loops(graph):
+    return (graph.adjacency + sp.eye(graph.num_nodes)).tocsr()
 
 
-class TestCheckpointedFit:
-    def test_checkpointing_does_not_change_the_result(self, small_graph,
-                                                      tmp_path):
-        plain = _fit_reference(small_graph)
-        ckpt = _model(small_graph, checkpoint_dir=str(tmp_path),
-                      checkpoint_every=4)
-        ckpt.fit(small_graph)
-        assert plain.history == ckpt.history
-        assert np.array_equal(plain.embed(small_graph),
-                              ckpt.embed(small_graph))
-        key = run_key(small_graph, ckpt.config)
-        assert os.path.exists(tmp_path / key / "final.ckpt")
+def _duplicate_edges(graph):
+    coo = graph.adjacency.tocoo()
+    return sp.coo_matrix((np.r_[coo.data, coo.data],
+                          (np.r_[coo.row, coo.row], np.r_[coo.col, coo.col])),
+                         shape=coo.shape)
 
-    def test_resume_from_midrun_snapshot_is_exact(self, small_graph,
-                                                  tmp_path, sink):
-        reference = _fit_reference(small_graph,
-                                   checkpoint_dir=str(tmp_path),
-                                   checkpoint_every=4)
-        run_dir = tmp_path / run_key(small_graph, reference.config)
-        # Simulate the crash: only a mid-run snapshot survives.
-        os.remove(run_dir / "final.ckpt")
-        for name in sorted(os.listdir(run_dir))[1:]:
-            os.remove(run_dir / name)
-        resumed = _model(small_graph)
-        resumed.fit(small_graph, resume_from=str(tmp_path))
-        assert resumed.history == reference.history
-        assert np.array_equal(resumed.embed(small_graph),
-                              reference.embed(small_graph))
-        assert len(sink.by_kind("checkpoint_resume")) == 1
 
-    def test_resume_skips_corrupt_newest_snapshot(self, small_graph,
-                                                  tmp_path):
-        reference = _fit_reference(small_graph,
-                                   checkpoint_dir=str(tmp_path),
-                                   checkpoint_every=4)
-        run_dir = tmp_path / run_key(small_graph, reference.config)
-        os.remove(run_dir / "final.ckpt")
-        newest = sorted(run_dir.iterdir())[-1]
-        newest.write_bytes(newest.read_bytes()[:64])
-        resumed = _model(small_graph)
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            resumed.fit(small_graph, resume_from=str(tmp_path))
-        assert np.array_equal(resumed.embed(small_graph),
-                              reference.embed(small_graph))
+def _two_components(graph):
+    # Two disconnected copies of the graph: 2 components, K = 3 above it.
+    adjacency = sp.block_diag([graph.adjacency, graph.adjacency]).tocsr()
+    return Graph(adjacency=adjacency,
+                 features=np.vstack([graph.features, graph.features]))
 
-    def test_resume_from_final_snapshot_skips_training(self, small_graph,
-                                                       tmp_path):
-        reference = _fit_reference(small_graph,
-                                   checkpoint_dir=str(tmp_path),
-                                   checkpoint_every=4)
-        metrics.registry().reset()
-        resumed = _model(small_graph)
-        resumed.fit(small_graph, resume_from=str(tmp_path))
-        assert metrics.registry().counter("aneci.epochs").value == 0
-        assert resumed.selection_modularity == \
-            reference.selection_modularity
-        assert np.array_equal(resumed.embed(small_graph),
-                              reference.embed(small_graph))
 
-    def test_resume_with_no_checkpoints_starts_fresh(self, small_graph,
-                                                     tmp_path):
-        reference = _fit_reference(small_graph)
-        model = _model(small_graph)
-        with pytest.warns(RuntimeWarning, match="starting fresh"):
-            model.fit(small_graph, resume_from=str(tmp_path / "empty"))
-        assert np.array_equal(model.embed(small_graph),
-                              reference.embed(small_graph))
+def _below_batch_nodes(graph):
+    # 12 nodes against the sampled mode's batch_nodes=16.
+    return Graph(adjacency=graph.adjacency[:12, :12],
+                 features=graph.features[:12])
 
-    def test_multi_restart_resume_is_exact(self, small_graph, tmp_path):
-        reference = _fit_reference(small_graph, n_init=2, epochs=10,
-                                   checkpoint_dir=str(tmp_path),
-                                   checkpoint_every=4)
-        run_dir = tmp_path / run_key(small_graph, reference.config)
-        os.remove(run_dir / "final.ckpt")
-        resumed = _model(small_graph, n_init=2, epochs=10)
-        resumed.fit(small_graph, resume_from=str(tmp_path))
-        assert resumed.selection_modularity == \
-            reference.selection_modularity
-        assert resumed.history == reference.history
-        assert np.array_equal(resumed.embed(small_graph),
-                              reference.embed(small_graph))
 
-    def test_pooled_restarts_write_usable_checkpoints(self, small_graph,
-                                                      tmp_path):
-        reference = _fit_reference(small_graph, n_init=2, epochs=10)
-        pooled = _model(small_graph, n_init=2, epochs=10,
-                        checkpoint_dir=str(tmp_path), checkpoint_every=4)
-        pooled.fit(small_graph, workers=2)
-        assert np.array_equal(pooled.embed(small_graph),
-                              reference.embed(small_graph))
-        run_dir = tmp_path / run_key(small_graph, pooled.config)
-        os.remove(run_dir / "final.ckpt")
-        resumed = _model(small_graph, n_init=2, epochs=10)
-        resumed.fit(small_graph, resume_from=str(tmp_path))
-        assert np.array_equal(resumed.embed(small_graph),
-                              reference.embed(small_graph))
+DEGENERATE = {
+    "isolated_nodes": _isolated_nodes,
+    "self_loops": lambda g: Graph(adjacency=_self_loops(g),
+                                  features=g.features, validate="off"),
+    "duplicate_edges": lambda g: Graph(adjacency=_duplicate_edges(g),
+                                       features=g.features, validate="off"),
+    "k_above_components": _two_components,
+    "n_below_batch_nodes": _below_batch_nodes,
+}
+
+
+class TestDegenerateGraphs:
+    @pytest.mark.parametrize("train_mode", ["full", "sampled"])
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_fit_finishes_with_finite_loss(self, small_graph, case,
+                                           train_mode):
+        graph = DEGENERATE[case](small_graph)
+        model = _model(graph, **_mode_kwargs(train_mode))
+        model.fit(graph)
+        assert len(model.history) == model.config.epochs
+        assert all(np.isfinite(r["loss"]) for r in model.history)
+        assert np.isfinite(model.embed(graph)).all()
+
+    @pytest.mark.parametrize("make, message", [
+        (_self_loops, "self-loops"), (_duplicate_edges, "binary")])
+    def test_malformed_adjacency_fails_by_name(self, small_graph, make,
+                                               message):
+        with pytest.raises(ValueError, match=message):
+            Graph(adjacency=make(small_graph), features=small_graph.features)
 
 
 # --------------------------------------------------------------------- #
@@ -598,28 +400,3 @@ class TestResilienceCLI:
         assert _finite_or_null(float("inf")) is None
         assert _finite_or_null(0.25) == 0.25
         assert json.loads(_strict_json({"value": None}))["value"] is None
-
-    def test_resume_requires_checkpoint_dir(self, tmp_path, capsys,
-                                            monkeypatch):
-        from repro.cli import main
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-        assert main(["embed", "--dataset", "cora", "--scale", "0.05",
-                     "--method", "aneci", "--epochs", "3", "--resume",
-                     "--out", str(tmp_path / "z.npy")]) == 2
-        assert "checkpoint-dir" in capsys.readouterr().err
-
-    def test_checkpoint_dir_flag_then_resume(self, tmp_path, capsys,
-                                             monkeypatch):
-        from repro.cli import main
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", "unset-by-flag")
-        ckpt = tmp_path / "ckpt"
-        first, second = tmp_path / "a.npy", tmp_path / "b.npy"
-        common = ["embed", "--dataset", "cora", "--scale", "0.05",
-                  "--method", "aneci", "--epochs", "5", "--json"]
-        assert main(["--checkpoint-dir", str(ckpt)] + common
-                    + ["--out", str(first)]) == 0
-        assert json.loads(capsys.readouterr().out)["resumed"] is False
-        assert main(["--checkpoint-dir", str(ckpt)] + common
-                    + ["--resume", "--out", str(second)]) == 0
-        assert json.loads(capsys.readouterr().out)["resumed"] is True
-        assert np.array_equal(np.load(first), np.load(second))

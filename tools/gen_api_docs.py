@@ -111,8 +111,8 @@ allocation), so 100k–1M-node graphs from
 `repro.graph.sparse_dcsbm` train in memory the dense path could never
 touch.  The default `train_mode="full"` path is byte-identical to
 previous releases; sampled fits are themselves deterministic — same
-seed ⇒ same embedding at any worker count, across backends, and
-through checkpoint/resume.  `repro profile` reports the resolved train
+seed ⇒ same embedding at any worker count and across backends.
+`repro profile` reports the resolved train
 mode plus per-epoch node/edge/negative sample counts;
 `benchmarks/test_perf_scale.py` tracks full-vs-sampled wall time,
 quality parity (NMI/modularity gaps ≤ 0.02) and peak memory in the
@@ -166,8 +166,8 @@ JSON, then resets both so every benchmark gets its own breakdown.
 Set `REPRO_RUN_DIR` (CLI: global `--run-dir`, bare form →
 `.repro/runs/`) and every fit / denoise pass / experiment runner /
 benchmark leaves one durable entry in an append-only **run ledger**
-(JSONL segments + an atomic index, the same tmp+fsync+rename discipline
-as checkpoints): config fingerprint, dtype, worker count, git describe,
+(JSONL segments + an atomic index, written with tmp+fsync+rename):
+config fingerprint, dtype, worker count, git describe,
 per-epoch loss/modularity history, final metrics, the span tree and
 metric **deltas** attributable to the run, and the resilience-counter
 deltas.  Entries are keyed by kind-qualified content-derived run keys
@@ -245,50 +245,24 @@ python tools/bench_compare.py BENCH_parallel.json /tmp/BENCH_parallel.json
     "repro.resilience": """\
 ### Resilience guide
 
-The fault-tolerant training runtime has three layers, all bit-invisible
-while nothing goes wrong:
-
-**Divergence guards.**  `AnECI._fit_once` checks every epoch's loss and
-gradients for finiteness.  On divergence the `DivergenceGuard` applies
-the `RecoveryPolicy` built from `AnECIConfig`: restore the last good
-parameters + optimizer state, multiply the learning rate by
-`lr_backoff`, escalate to a fresh-seed rebuild after `reseed_after`
-consecutive failures, and raise `DivergenceError` once
-`max_recoveries` is spent.  Set `divergence_policy="raise"` to fail
-fast or `"off"` for the legacy keep-stepping behaviour
-(`REPRO_DIVERGENCE_POLICY` is the env default).  Incidents surface as
-`divergence`/`recovery` events plus `resilience.divergences` /
-`resilience.recoveries` counters.
-
-**Crash-safe checkpoints.**  With `AnECIConfig(checkpoint_dir=...)` —
-or the CLI's global `--checkpoint-dir` — a `CheckpointManager`
-atomically snapshots weights, optimizer moments + scalars, RNG state,
-history, early-stopping and guard budgets every `checkpoint_every`
-epochs (env: `REPRO_CHECKPOINT_EVERY`/`REPRO_CHECKPOINT_KEEP`), each
-file checksummed and namespaced by a content-derived run key.
-
-```python
-model = AnECI(graph.num_features, num_communities=7,
-              checkpoint_dir="ckpts", checkpoint_every=50)
-model.fit(graph)                          # snapshots as it trains
-fresh = AnECI(graph.num_features, num_communities=7)
-fresh.fit(graph, resume_from="ckpts")     # exact continuation
-```
-
-Resume validates checksums and falls back past corrupt files
-(`checkpoint_corrupt` event + warning); a resumed fit reproduces the
-uninterrupted run's embedding bit-for-bit, multi-restart fits and both
-`AnECIPlus` stages included.  CLI: `repro embed --resume`.
+Training has no recovery path: every fit this project runs takes
+seconds, so rerunning a failed fit is cheaper than resuming it.  Each
+epoch of `AnECI._fit_once` checks its loss and every parameter gradient
+for finiteness, in both train modes, and a non-finite value raises
+`repro.DivergenceError` naming the epoch and the restart before the
+optimizer steps.
 
 **Deterministic fault injection.**  `REPRO_FAULTS` (or
 `faultinject.injected(...)` in tests) installs a plan of seeded faults —
-`nan_loss@epoch=3`, `worker_crash@task=1,attempt=0`,
-`timeout@task=2,s=5`, `checkpoint_corrupt@save=1`,
-`nan_loss@p=0.2,seed=7` — that fire at exactly the same points every
-run, pool workers included.  Every firing emits a `fault_injected`
-event and bumps `faults.injected`, so chaos runs audit themselves.
-CI's chaos-smoke leg runs the critical tests under crash + NaN
-injection; `tests/test_resilience.py` holds the full contract.
+`worker_crash@task=1,attempt=0`, `timeout@task=2,s=5` in the process
+pool; `slow_index`, `index_error`, `queue_overflow` and
+`shard_corrupt_read` in the serving layer, e.g.
+`slow_index@p=0.2,seed=7,s=0.3` — that fire at exactly the same points
+every run, pool workers included.  Every firing emits a
+`fault_injected` event and bumps `faults.injected`, so chaos runs audit
+themselves.  CI's chaos-smoke leg runs the critical tests under
+worker-crash injection and drives the serving guards through injected
+faults; `tests/test_resilience.py` holds the contract.
 """,
     "repro.serve": """\
 ### Serving guide
@@ -298,7 +272,7 @@ fitted model — float32 embeddings plus softmax memberships — into a
 versioned store under `dir/versions/<run key>/`, written atomically and
 BLAKE2b-checksummed; `EmbeddingStore.load()` maps the newest usable
 version back read-only (`np.load(mmap_mode="r")`), warning and falling
-back past a corrupt head exactly like the checkpoint store.
+back past a corrupt head to the previous version.
 
 `ExactIndex(store)` answers exact cosine k-NN with a deterministic
 total order (score descending, then node id ascending) and a
