@@ -1,11 +1,11 @@
-"""Tracked before/after benchmark of the AnECI training hot path.
+"""Tracked benchmark of the AnECI training hot path.
 
-Times full :meth:`AnECI.fit` runs twice per case — once in *reference*
-mode, which faithfully re-enacts the pre-overhaul implementation
-(workspace rebuilt per fit, op-by-op BCE composition, per-call spmm
-transposes, reference-cycle graph nodes), and once on the optimised
-path.  Both modes produce bit-identical loss histories, which each case
-re-asserts, so the timings compare identical numerical work.
+Times cold :meth:`AnECI.fit` runs (workspace and transpose caches
+cleared before each) per case and records the median as ``after_s``.
+``before_s`` is null: there is no second engine to time against.  Each
+case's correctness gate is that its repeats give bit-identical loss
+histories; the equivalence with the engine from before the fused
+kernels and caches is pinned by digest in ``tests/test_perf_layer.py``.
 
 Results land in ``BENCH_train.json`` at the repo root (override with
 ``REPRO_BENCH_OUT``); compare two result files with
@@ -28,11 +28,8 @@ import numpy as np
 import pytest
 
 from repro.core import AnECI, workspace_cache
-from repro.core.workspace import cache_disabled
 from repro.graph.generators import planted_partition
-from repro.nn import functional as F
-from repro.nn.autograd import (clear_transpose_cache, legacy_graph_cycles,
-                               transpose_cache_disabled)
+from repro.nn.autograd import clear_transpose_cache
 from repro.obs.profile import profile_ops
 
 SMOKE = os.environ.get("REPRO_PERF_SMOKE", "") == "1"
@@ -41,7 +38,7 @@ OUT_PATH = Path(os.environ.get(
     "REPRO_BENCH_OUT", Path(__file__).resolve().parent.parent / "BENCH_train.json"))
 
 #: name -> (graph kwargs, model overrides).  ``epochs``/sizes shrink in
-#: smoke mode; the medium/n_init=3 case is the acceptance headline.
+#: smoke mode.
 CASES = {
     "small_full": dict(
         communities=3, size=12 if SMOKE else 40, p_in=0.6, p_out=0.05,
@@ -81,23 +78,18 @@ def reset_caches():
     clear_transpose_cache()
 
 
-def timed_fit(graph, overrides, reference):
-    """One cold fit (caches cleared) in the requested mode."""
+def timed_fit(graph, overrides):
+    """One cold fit (caches cleared)."""
     reset_caches()
     model = make_model(graph, overrides)
     start = time.perf_counter()
-    if reference:
-        with cache_disabled(), F.reference_loss_kernels(), \
-                transpose_cache_disabled(), legacy_graph_cycles():
-            model.fit(graph)
-    else:
-        model.fit(graph)
+    model.fit(graph)
     elapsed = time.perf_counter() - start
     return elapsed, model
 
 
 def profiled_backward_seconds(graph, overrides):
-    """Backward-pass wall time of one optimised fit, via the op profiler."""
+    """Backward-pass wall time of one fit, via the op profiler."""
     reset_caches()
     model = make_model(graph, overrides)
     with profile_ops() as prof:
@@ -108,56 +100,40 @@ def profiled_backward_seconds(graph, overrides):
 def run_case(name):
     graph, overrides = build_case(name)
     # Warm the allocator/import costs outside the timed region.
-    timed_fit(graph, {**overrides, "epochs": 2, "n_init": 1},
-              reference=False)
+    timed_fit(graph, {**overrides, "epochs": 2, "n_init": 1})
 
-    before, after = [], []
-    loss_delta = 0.0
-    for _ in range(REPEATS):  # interleaved so machine drift hits both modes
-        t_ref, m_ref = timed_fit(graph, overrides, reference=True)
-        t_opt, m_opt = timed_fit(graph, overrides, reference=False)
-        before.append(t_ref)
-        after.append(t_opt)
-        deltas = [abs(a["loss"] - b["loss"])
-                  for a, b in zip(m_opt.history, m_ref.history)]
-        assert len(m_opt.history) == len(m_ref.history)
-        loss_delta = max(loss_delta, max(deltas))
+    times, histories = [], []
+    for _ in range(REPEATS):
+        elapsed, model = timed_fit(graph, overrides)
+        times.append(elapsed)
+        histories.append([record["loss"] for record in model.history])
 
-    epochs_run = len(m_opt.history) * overrides.get("n_init", 1)
-    before_s = statistics.median(before)
-    after_s = statistics.median(after)
+    epochs_run = len(model.history) * overrides.get("n_init", 1)
+    after_s = statistics.median(times)
     result = {
         "case": name,
         "nodes": graph.num_nodes,
         "edges": graph.num_edges,
         "config": {k: v for k, v in overrides.items()},
         "repeats": REPEATS,
-        "before_s": round(before_s, 4),
+        "before_s": None,
         "after_s": round(after_s, 4),
-        "speedup": round(before_s / after_s, 3),
-        "epoch_before_s": round(before_s / epochs_run, 5),
         "epoch_after_s": round(after_s / epochs_run, 5),
         "backward_after_s": round(
             profiled_backward_seconds(graph, overrides), 4),
-        "max_loss_delta": loss_delta,
+        "repeats_identical": all(h == histories[0] for h in histories),
     }
     _RESULTS[name] = result
-    print(f"\n[{name}] before={before_s:.2f}s after={after_s:.2f}s "
-          f"speedup={result['speedup']:.2f}x loss_delta={loss_delta:.2e}")
+    print(f"\n[{name}] after={after_s:.3f}s "
+          f"epoch={result['epoch_after_s'] * 1e3:.2f}ms")
     return result
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_case_faster_and_equivalent(name):
-    result = run_case(name)
-    # Equivalence is the hard gate: identical histories to well under
-    # the 1e-8 acceptance tolerance (bit-exact in practice).
-    assert result["max_loss_delta"] <= 1e-8
-    # Timing gates stay lenient in-test (shared-machine noise); the
-    # committed BENCH_train.json carries the representative medians.
-    assert result["after_s"] < result["before_s"]
-    if name == "medium_full_n_init3" and not SMOKE:
-        assert result["speedup"] >= 1.5
+def test_case_deterministic(name):
+    # Timings are recorded, not gated in-test (shared-machine noise);
+    # compare two result files with tools/bench_compare.py.
+    assert run_case(name)["repeats_identical"]
 
 
 def test_write_results():
@@ -175,5 +151,3 @@ def test_write_results():
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {OUT_PATH}")
-    headline = _RESULTS["medium_full_n_init3"]
-    assert headline["after_s"] < headline["before_s"]

@@ -45,9 +45,9 @@ from .modularity import modularity_loss_terms
 
 __all__ = [
     "FitWorkspace", "WorkspaceCache", "get_workspace", "workspace_cache",
-    "cache_disabled", "fit_fingerprint", "dense_gather_cap",
-    "default_cache_size",
+    "fit_fingerprint", "dense_gather_cap", "default_cache_size",
 ]
+
 
 def dense_gather_cap() -> int:
     """Densify the reconstruction target eagerly only below this node
@@ -64,9 +64,6 @@ def default_cache_size() -> int:
     target); read from ``REPRO_WORKSPACE_CACHE_SIZE`` at cache
     construction time."""
     return int(os.environ.get("REPRO_WORKSPACE_CACHE_SIZE", "4"))
-
-
-_CACHE_ENABLED = True
 
 
 def fit_fingerprint(adjacency: sp.csr_matrix, knobs: tuple) -> str:
@@ -370,22 +367,7 @@ def workspace_cache() -> WorkspaceCache:
 def get_workspace(graph: Graph, config: AnECIConfig) -> FitWorkspace:
     """Fetch (or build) the fit workspace through the process-wide cache.
 
-    Inside :func:`cache_disabled` the workspace is rebuilt from scratch
-    on every call — the pre-cache behaviour, kept for benchmarks and
-    equivalence tests.
+    A caller that needs a cold build clears :func:`workspace_cache` or
+    calls :func:`build_workspace` directly.
     """
-    if not _CACHE_ENABLED:
-        return build_workspace(graph, config)
     return _CACHE.get(graph, config)
-
-
-@contextlib.contextmanager
-def cache_disabled():
-    """Bypass the workspace cache (rebuild per fit) within the block."""
-    global _CACHE_ENABLED
-    previous = _CACHE_ENABLED
-    _CACHE_ENABLED = False
-    try:
-        yield
-    finally:
-        _CACHE_ENABLED = previous

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import InitVar, dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Graph", "normalized_adjacency", "edges_from_adjacency",
            "default_validate"]
@@ -254,6 +256,10 @@ class Graph:
     # Interop                                                             #
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> nx.Graph:
+        # Imported here: networkx is slow to import and only this method
+        # uses it.
+        import networkx as nx
+
         g = nx.from_scipy_sparse_array(self.adjacency)
         if self.labels is not None:
             nx.set_node_attributes(

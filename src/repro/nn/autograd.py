@@ -34,7 +34,6 @@ from .backend import stable_softmax
 __all__ = ["Tensor", "tensor", "no_grad", "is_grad_enabled", "spmm",
            "fused_bce_with_logits", "fused_gcn_layer", "cached_transpose",
            "transpose_cache_size", "clear_transpose_cache",
-           "transpose_cache_disabled", "legacy_graph_cycles",
            "resolve_dtype", "get_default_dtype", "default_dtype",
            "stable_softmax", "dtype_matched_csr", "pair_dots"]
 
@@ -48,7 +47,10 @@ _GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 #: preserves the dtype of its inputs.
 _SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-_DEFAULT_DTYPE = np.dtype(np.float64)
+#: The coercion dtype is per thread too, like grad mode: a test holding
+#: ``default_dtype("float32")`` must not change another thread's fit.
+_DEFAULT_DTYPE = contextvars.ContextVar("default_dtype",
+                                        default=np.dtype(np.float64))
 
 
 def resolve_dtype(spec) -> np.dtype:
@@ -63,44 +65,22 @@ def resolve_dtype(spec) -> np.dtype:
 
 def get_default_dtype() -> np.dtype:
     """Dtype non-float payloads are coerced to (float64 unless changed)."""
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
 
 
 @contextlib.contextmanager
 def default_dtype(spec):
-    """Run the block with a different coercion/initialisation dtype.
+    """Run the block with another coercion dtype in this thread only.
 
     Affects payloads that carry no float dtype of their own (python
     scalars, lists, integer arrays) and the :mod:`repro.nn.init`
     initialisers; float32/float64 arrays always keep their dtype.
     """
-    global _DEFAULT_DTYPE
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = resolve_dtype(spec)
+    token = _DEFAULT_DTYPE.set(resolve_dtype(spec))
     try:
         yield
     finally:
-        _DEFAULT_DTYPE = previous
-
-#: See :func:`legacy_graph_cycles`.
-_LEGACY_CYCLES = False
-
-
-@contextlib.contextmanager
-def legacy_graph_cycles():
-    """Rebuild graph nodes with the pre-overhaul reference cycles.
-
-    Benchmark-only: lets the perf suite time the historical engine
-    behaviour (graphs reclaimed by the cyclic GC instead of by refcount)
-    without reverting the engine.  Values and gradients are unaffected.
-    """
-    global _LEGACY_CYCLES
-    previous = _LEGACY_CYCLES
-    _LEGACY_CYCLES = True
-    try:
-        yield
-    finally:
-        _LEGACY_CYCLES = previous
+        _DEFAULT_DTYPE.reset(token)
 
 
 @contextlib.contextmanager
@@ -137,8 +117,8 @@ def _as_array(value, dtype: np.dtype | None = None) -> np.ndarray:
         # loss chain.
         if value.dtype in _SUPPORTED_DTYPES:
             return np.asarray(value)
-        return np.asarray(value, dtype=_DEFAULT_DTYPE)
-    return np.asarray(value, dtype=_DEFAULT_DTYPE)
+        return np.asarray(value, dtype=_DEFAULT_DTYPE.get())
+    return np.asarray(value, dtype=_DEFAULT_DTYPE.get())
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -252,13 +232,7 @@ class Tensor:
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
-            if _LEGACY_CYCLES:
-                # Pre-overhaul behaviour: the stored closure referenced the
-                # result tensor, so every node sat in a reference cycle and
-                # epoch graphs survived until the cyclic collector ran.
-                out._backward = lambda _g, _b=backward, _o=out: _b(_o.grad)
-            else:
-                out._backward = backward
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
@@ -661,25 +635,6 @@ def clear_transpose_cache() -> None:
     _DTYPE_CSR_CACHE.clear()
 
 
-_TRANSPOSE_CACHE_ENABLED = True
-
-
-@contextlib.contextmanager
-def transpose_cache_disabled():
-    """Recompute ``matrix.T.tocsr()`` on every ``spmm`` call in the block.
-
-    Restores the pre-cache behaviour; used by the perf benchmarks'
-    reference mode so before/after timings compare like with like.
-    """
-    global _TRANSPOSE_CACHE_ENABLED
-    previous = _TRANSPOSE_CACHE_ENABLED
-    _TRANSPOSE_CACHE_ENABLED = False
-    try:
-        yield
-    finally:
-        _TRANSPOSE_CACHE_ENABLED = previous
-
-
 def _scatter_add(like: np.ndarray, index, g: np.ndarray) -> np.ndarray:
     """``np.add.at(np.zeros_like(like), index, g)``, bit for bit.
 
@@ -721,10 +676,7 @@ def spmm(matrix: sp.spmatrix, x: Tensor,
     if matrix.dtype != x.data.dtype and x.data.dtype in _SUPPORTED_DTYPES:
         matrix = dtype_matched_csr(matrix, x.data.dtype)
     if transpose is None:
-        if _TRANSPOSE_CACHE_ENABLED:
-            transpose = cached_transpose(matrix)
-        else:
-            transpose = matrix.T.tocsr()
+        transpose = cached_transpose(matrix)
 
     def backward(g):
         x._accumulate(kernels.spmm(transpose, g), owned=True)
@@ -771,8 +723,7 @@ def fused_gcn_layer(x: Tensor, weight: Tensor, matrix: sp.spmatrix,
                and any(p.requires_grad for p in parents))
     transpose = None
     if records and (x.requires_grad or not aggregate_first):
-        transpose = (cached_transpose(matrix) if _TRANSPOSE_CACHE_ENABLED
-                     else matrix.T.tocsr())
+        transpose = cached_transpose(matrix)
     x_data, w_data = x.data, weight.data
     b_data = None if bias is None else bias.data
     if aggregate_first:

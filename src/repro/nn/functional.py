@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from .autograd import Tensor, fused_bce_with_logits, stable_softmax
@@ -15,40 +13,10 @@ __all__ = [
     "nll_loss",
     "mse_loss",
     "weighted_binary_cross_entropy_with_logits",
-    "fused_loss_kernels_enabled",
-    "reference_loss_kernels",
     "stable_softmax",
 ]
 
 _EPS = 1e-10
-
-#: When True (the default) the BCE-with-logits losses run through the
-#: single-node fused kernel (whose arithmetic lives in
-#: :mod:`repro.nn.backend`); the op-by-op reference composition is kept
-#: for equivalence tests and before/after benchmarks.
-_USE_FUSED = True
-
-
-def fused_loss_kernels_enabled() -> bool:
-    """Whether BCE losses currently use the fused autograd kernel."""
-    return _USE_FUSED
-
-
-@contextlib.contextmanager
-def reference_loss_kernels():
-    """Route BCE-with-logits through the unfused op composition.
-
-    Used by the numerical-equivalence tests and the perf benchmarks to
-    reproduce the pre-fusion implementation; values and gradients are
-    bit-identical either way.
-    """
-    global _USE_FUSED
-    previous = _USE_FUSED
-    _USE_FUSED = False
-    try:
-        yield
-    finally:
-        _USE_FUSED = previous
 
 
 def binary_cross_entropy(pred: Tensor, target: np.ndarray | Tensor,
@@ -75,10 +43,8 @@ def binary_cross_entropy_with_logits(logits: Tensor, target: np.ndarray | Tensor
     :func:`~repro.nn.autograd.fused_bce_with_logits`).
     """
     target_data = target.data if isinstance(target, Tensor) else np.asarray(target)
-    if _USE_FUSED:
-        return fused_bce_with_logits(logits, target_data, reduction=reduction,
-                                     buffers=buffers)
-    return _reduce(_composed_bce_with_logits(logits, target_data), reduction)
+    return fused_bce_with_logits(logits, target_data, reduction=reduction,
+                                 buffers=buffers)
 
 
 def weighted_binary_cross_entropy_with_logits(
@@ -87,23 +53,8 @@ def weighted_binary_cross_entropy_with_logits(
     """BCE with a positive-class weight, as used by GAE on sparse graphs."""
     target = np.asarray(target)
     weights = np.where(target > 0.5, pos_weight, 1.0)
-    if _USE_FUSED:
-        return fused_bce_with_logits(logits, target, weights=weights,
-                                     reduction=reduction)
-    loss = (_composed_bce_with_logits(logits, target)
-            * Tensor(weights.astype(logits.data.dtype, copy=False)))
-    return _reduce(loss, reduction)
-
-
-def _composed_bce_with_logits(logits: Tensor, target_data: np.ndarray) -> Tensor:
-    """Elementwise stable BCE as the historical op composition.
-
-    ``log(1 + exp(-|x|)) + max(x, 0) - x*t`` built from ~8 autograd nodes;
-    the fused kernel replicates it bit-for-bit in a single node.
-    """
-    abs_logits = logits.abs()
-    return (logits.relu() - logits * Tensor(target_data)
-            + ((-abs_logits).exp() + 1.0).log())
+    return fused_bce_with_logits(logits, target, weights=weights,
+                                 reduction=reduction)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray,

@@ -9,37 +9,16 @@ deterministic.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import init
-from .autograd import Tensor, fused_gcn_layer, spmm
+from .autograd import Tensor, fused_gcn_layer
 
 __all__ = ["Parameter", "Module", "Linear", "GCNConv", "Dropout", "Sequential",
-           "Bilinear", "reference_composed_layers"]
-
-_USE_FUSED_LAYERS = True
-
-
-@contextlib.contextmanager
-def reference_composed_layers():
-    """Run the block with :class:`GCNConv` on the historical composed path.
-
-    ``x @ W`` → ``spmm`` → ``+ bias`` → ``leaky_relu`` as four separate
-    autograd nodes instead of one :func:`fused_gcn_layer` node.  Values
-    and gradients are bit-identical either way (the equivalence tests
-    prove it); this exists so benchmarks and tests can compare the two.
-    """
-    global _USE_FUSED_LAYERS
-    previous = _USE_FUSED_LAYERS
-    _USE_FUSED_LAYERS = False
-    try:
-        yield
-    finally:
-        _USE_FUSED_LAYERS = previous
+           "Bilinear"]
 
 
 class Parameter(Tensor):
@@ -163,16 +142,8 @@ class GCNConv(Module):
         result — callers pass it so the fused layer applies the epilogue).
         ``pool`` is the fused layer's per-caller buffer set (see
         :func:`repro.nn.fused_gcn_layer`)."""
-        if _USE_FUSED_LAYERS:
-            return fused_gcn_layer(x, self.weight, adj_norm, bias=self.bias,
-                                   negative_slope=negative_slope, pool=pool)
-        support = x @ self.weight
-        out = spmm(adj_norm, support)
-        if self.bias is not None:
-            out = out + self.bias
-        if negative_slope is not None:
-            out = out.leaky_relu(negative_slope)
-        return out
+        return fused_gcn_layer(x, self.weight, adj_norm, bias=self.bias,
+                               negative_slope=negative_slope, pool=pool)
 
 
 class Bilinear(Module):

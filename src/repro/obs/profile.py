@@ -257,7 +257,7 @@ class OpProfiler:
             original = getattr(autograd, fname)
             wrapped = wrappers[fname](original)
             # Rebind every by-value import across the repro package so
-            # call sites like ``layers.spmm`` are intercepted too.
+            # call sites like ``layers.fused_gcn_layer`` are intercepted too.
             for mod_name, mod in list(sys.modules.items()):
                 if (mod_name == "repro" or mod_name.startswith("repro.")) \
                         and getattr(mod, fname, None) is original:

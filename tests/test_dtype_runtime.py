@@ -11,6 +11,7 @@ default path must not change by a single ULP.  The float32 contract is
 tolerance-level parity on small fits.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,29 @@ class TestDtypeResolution:
             assert get_default_dtype() == np.float32
             assert Tensor([1.0, 2.0]).data.dtype == np.float32
         assert get_default_dtype() == np.float64
+
+    def test_default_dtype_is_per_thread(self):
+        # One thread holding default_dtype("float32") must not change
+        # how another thread coerces payloads without a float dtype.
+        inside, release = threading.Event(), threading.Event()
+
+        def hold_float32():
+            with default_dtype("float32"):
+                inside.set()
+                release.wait(timeout=60)
+
+        thread = threading.Thread(target=hold_float32)
+        thread.start()
+        try:
+            assert inside.wait(timeout=60)
+            assert get_default_dtype() == np.float64
+            assert Tensor(1.5).dtype == np.float64
+            assert Tensor([1, 2]).dtype == np.float64
+            assert init.zeros((2,)).dtype == np.float64
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 # --------------------------------------------------------------------- #

@@ -1,5 +1,10 @@
 """Tests for the Graph container and adjacency normalisation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -211,6 +216,22 @@ class TestInterop:
         g = triangle_graph(labels=np.array([0, 0, 1])).to_networkx()
         assert g.number_of_edges() == 3
         assert g.nodes[2]["label"] == 1
+
+    def test_networkx_imported_only_by_to_networkx(self):
+        snippet = (
+            "import sys\n"
+            "import numpy as np, scipy.sparse as sp\n"
+            "import repro.graph\n"
+            "assert 'networkx' not in sys.modules\n"
+            "g = repro.graph.Graph(adjacency=sp.csr_matrix(np.ones((2, 2))"
+            " - np.eye(2)), features=np.eye(2))\n"
+            "print(g.to_networkx().number_of_edges())\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", snippet], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "1"
 
     def test_copy_is_deep_for_arrays(self):
         g = triangle_graph()

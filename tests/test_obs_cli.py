@@ -115,7 +115,7 @@ class TestProfileCommand:
         # profiler restored the engine
         from repro.nn import autograd
         import repro.nn.layers as layers
-        assert layers.spmm is autograd.spmm
+        assert layers.fused_gcn_layer is autograd.fused_gcn_layer
 
     def test_profile_aneci_plus(self, capsys):
         assert main(["profile", "--dataset", "cora", "--scale", "0.05",

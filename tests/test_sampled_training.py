@@ -30,8 +30,7 @@ from repro.core.modularity import (generalized_modularity_tensor,
                                    modularity_loss_terms,
                                    sampled_modularity_tensor)
 from repro.core.workspace import (_config_knobs, build_workspace,
-                                  cache_disabled, dense_gather_cap,
-                                  get_workspace)
+                                  dense_gather_cap, get_workspace)
 from repro.graph import Graph, high_order_proximity
 from repro.graph.generators import planted_partition, sparse_dcsbm
 from repro.nn import Tensor, autograd, functional as F
@@ -541,11 +540,10 @@ class TestSparseDCSBMAndIntegration:
         from repro.metrics import normalized_mutual_info
         g = sparse_dcsbm(1200, 4, np.random.default_rng(2), avg_degree=12.0,
                          mixing=0.05, num_features=32)
-        with cache_disabled():
-            model = AnECI(g.num_features, num_communities=4, epochs=60,
-                          lr=0.05, seed=0, train_mode="sampled",
-                          batch_nodes=400, edge_samples=2048,
-                          negative_samples=5, fanout=16)
-            model.fit(g)
+        model = AnECI(g.num_features, num_communities=4, epochs=60,
+                      lr=0.05, seed=0, train_mode="sampled",
+                      batch_nodes=400, edge_samples=2048,
+                      negative_samples=5, fanout=16)
+        model.fit(g)
         nmi = normalized_mutual_info(g.labels, model.assign_communities())
         assert nmi > 0.3

@@ -4,7 +4,8 @@ Diffs the per-case timing of every case shared by a baseline and a
 current result file and fails when any case slowed down by more than
 ``--threshold``.  Works on every tracked benchmark format:
 ``BENCH_train.json`` (``benchmarks/test_perf_training.py``, timing key
-``after_s``), ``BENCH_parallel.json``
+``after_s`` = the median cold-fit time; its ``before_s`` is null, as
+there is no second engine to time against), ``BENCH_parallel.json``
 (``benchmarks/test_perf_parallel.py``, same key — the best parallel
 median), ``BENCH_dtype.json`` (``benchmarks/test_perf_dtype.py``,
 ``after_s`` = the float32 median), ``BENCH_scale.json``

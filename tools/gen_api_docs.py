@@ -63,12 +63,15 @@ structural mutations miss by construction.  Inspect traffic via the
 `workspace.hits` / `workspace.misses` / `workspace.evictions` counters,
 bound memory with `REPRO_WORKSPACE_CACHE_SIZE` (entries) and
 `REPRO_WORKSPACE_DENSE_CAP` (max nodes for a dense sampled-path
-target), and bypass it entirely with `workspace.cache_disabled()`.
+target).  For a cold build, clear `workspace_cache()` or call
+`workspace.build_workspace` directly.
 
 The losses themselves run on fused single-node autograd kernels
 (`repro.nn.fused_bce_with_logits`, transpose-cached `spmm`) that are
-bit-exact against the historical op composition; toggle the reference
-path with `repro.nn.functional.reference_loss_kernels()`.
+bit-exact against the historical op composition; the GCN layer is one
+`repro.nn.fused_gcn_layer` node.  There is one code path per kernel:
+the tests build the op-by-op references from public `Tensor` ops, and
+pin fixed-seed fits by digest.
 
 Benchmarking:
 
@@ -82,10 +85,10 @@ REPRO_PERF_SMOKE=1 REPRO_BENCH_OUT=/tmp/BENCH_train.json \\
 python tools/bench_compare.py BENCH_train.json /tmp/BENCH_train.json
 ```
 
-Each `BENCH_train.json` case records `before_s`/`after_s` medians
-(reference vs optimised mode over interleaved repeats), per-epoch and
-profiled backward times, and `max_loss_delta` — which must stay at
-0.0: the overhaul changes wall-clock, never numerics.
+Each `BENCH_train.json` case records the median cold-fit `after_s`
+(`before_s` is null), per-epoch and profiled backward times, and
+`repeats_identical`, which must stay true: repeated fits give
+bit-identical loss histories.
 
 ### Scaling & sampled training
 
