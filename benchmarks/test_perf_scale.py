@@ -1,6 +1,6 @@
 """Tracked full-vs-sampled scaling benchmark (``train_mode="sampled"``).
 
-Three kinds of cases feed the tracked ``BENCH_scale.json`` at the repo
+Two kinds of cases feed the tracked ``BENCH_scale.json`` at the repo
 root (override the path with ``REPRO_BENCH_SCALE_OUT``):
 
 * ``parity_2k`` — a 2000-node DC-SBM small enough for the dense
@@ -18,15 +18,6 @@ root (override the path with ``REPRO_BENCH_SCALE_OUT``):
   tracemalloc high-water mark of a training fit.  The sublinearity gate
   checks that per-epoch time grows far slower than the 16× a quadratic
   epoch would show between 25k and 100k nodes.
-* ``proximity_100k`` — the high-order proximity ``Ã`` (order 2) of the
-  perfbench ``train_sampled`` graph, computed as one row block
-  (``before_s``) and in one block per usable core (``after_s``, the
-  default).  A separate blocked build under tracemalloc records
-  ``peak_bytes``, the ``output_bytes`` of ``Ã`` (data + indices +
-  indptr) and their ``peak_ratio``.  The hard gates, in smoke runs too,
-  are that both give identical CSR arrays, dtypes included, and that
-  the build peaks at no more than 2.5× its output; the timing only
-  feeds the tracked file.
 
 ``hardware_limited`` is true on a single core, where absolute timings
 are pessimistic; the parity and sublinearity gates do not depend on
@@ -49,12 +40,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.core import AnECI, workspace_cache
 from repro.graph.generators import sparse_dcsbm
-from repro.graph.proximity import (_blocked_proximity, _row_cuts,
-                                   high_order_proximity)
 from repro.metrics import newman_modularity, normalized_mutual_info
 from repro.nn.autograd import clear_transpose_cache
 
@@ -86,10 +74,6 @@ CASES = {
         nodes=8_000 if SMOKE else 100_000, communities=10, avg_degree=10.0,
         mixing=0.1, num_features=64, seed=7,
         epochs=2 if SMOKE else 5, modes=("sampled",)),
-    # perfbench's ``train_sampled --seed 1`` graph.
-    "proximity_100k": dict(
-        nodes=12_000 if SMOKE else 100_000, communities=10, avg_degree=10.0,
-        mixing=0.1, num_features=64, seed=1, modes=("proximity",)),
 }
 
 _RESULTS: dict[str, dict] = {}
@@ -218,71 +202,12 @@ def run_scale(name):
     return result
 
 
-def run_proximity(name):
-    """One row block against one block per usable core, interleaved."""
-    graph = build_graph(name)
-    adjacency = graph.adjacency
-    n = graph.num_nodes
-    cuts = _row_cuts(adjacency + sp.eye(n, format="csr"))
-    one_block, blocked = [], []
-    identical = True
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        single = _blocked_proximity(adjacency, np.full(2, 0.5), True, [0, n])
-        one_block.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        split = high_order_proximity(adjacency, order=2)
-        blocked.append(time.perf_counter() - start)
-        identical &= type(single) is type(split) and all(
-            a.dtype == b.dtype and np.array_equal(a, b)
-            for a, b in ((single.indptr, split.indptr),
-                         (single.indices, split.indices),
-                         (single.data, split.data)))
-        del single, split
-    # Peak memory of the default (blocked) build; tracemalloc slows it,
-    # so it is kept out of the timed medians.
-    tracemalloc.start()
-    split = high_order_proximity(adjacency, order=2)
-    _, peak_bytes = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    output_bytes = split.data.nbytes + split.indices.nbytes \
-        + split.indptr.nbytes
-    del split
-    before_s = statistics.median(one_block)
-    after_s = statistics.median(blocked)
-    result = {
-        "case": name,
-        "nodes": n,
-        "edges": graph.num_edges,
-        "order": 2,
-        "blocks": len(cuts) - 1,
-        "repeats": REPEATS,
-        "before_s": round(before_s, 4),
-        "after_s": round(after_s, 4),
-        "speedup": round(before_s / after_s, 3),
-        "identical": bool(identical),
-        "peak_bytes": int(peak_bytes),
-        "output_bytes": int(output_bytes),
-        "peak_ratio": round(peak_bytes / output_bytes, 3),
-        "cpu_count": os.cpu_count() or 1,
-        "hardware_limited": HARDWARE_LIMITED,
-    }
-    _RESULTS[name] = result
-    print(f"\n[{name}] n={n} blocks={result['blocks']} "
-          f"one_block={before_s:.3f}s blocked={after_s:.3f}s "
-          f"speedup={result['speedup']:.2f}x identical={identical} "
-          f"peak={peak_bytes / 1e6:.0f}MB ({result['peak_ratio']}x Ã)")
-    return result
-
-
 def run_case(name):
     if name in _RESULTS:
         return _RESULTS[name]
     modes = CASES[name]["modes"]
     if "full" in modes:
         return run_parity(name)
-    if "proximity" in modes:
-        return run_proximity(name)
     return run_scale(name)
 
 
@@ -290,17 +215,6 @@ def run_case(name):
 def test_case_runs(name):
     result = run_case(name)
     assert result["after_s"] > 0
-
-
-def test_proximity_blocks_match_one_block():
-    # Hard in smoke runs too: the blocks must reproduce one block's bytes.
-    assert run_case("proximity_100k")["identical"]
-
-
-def test_proximity_build_peak_is_bounded():
-    # Hard in smoke runs too: about one transient copy of A^l beside Ã.
-    result = run_case("proximity_100k")
-    assert result["peak_bytes"] <= 2.5 * result["output_bytes"]
 
 
 @pytest.mark.skipif(SMOKE, reason="quality gate needs full-size cases")

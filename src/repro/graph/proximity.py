@@ -5,13 +5,9 @@ adjacency and ``f`` row-normalises so each entry can be read as the
 probability that node *i* is connected to node *j* in the high-order space.
 
 Powers of a sparse adjacency densify quickly; everything here stays in
-scipy sparse format so Pubmed-sized graphs remain tractable.  Every row
-of ``Ã`` depends only on the same row of each left operand, so large
-graphs are computed in contiguous row blocks, one per usable core, on a
-thread pool (scipy's sparse kernels release the GIL).  The row
-normalisation writes each block straight into its slice of ``Ã``: the
-result is exactly the bytes a single block produces, including the order
-of the indices within each row.
+scipy sparse format so Pubmed-sized graphs remain tractable.  ``Ã`` is
+built in one pass over the whole matrix; a sampled fit never forms it
+(see :class:`ProximityBlocks`).
 
 Memory: beside the output ``Ã`` the build holds about one transient
 copy of ``A^l``.  The last power is scaled in place and dropped before
@@ -22,26 +18,14 @@ it measures 2.2–2.35× at orders 2 and 3 on a 12,000-node DC-SBM.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import scipy.sparse as sp
 
-from .. import parallel
 from ..obs import metrics, trace
 
 __all__ = ["high_order_proximity", "katz_proximity", "ProximityBlocks",
            "proximity_weights", "katz_weights", "proximity_statistics",
            "modularity_degree"]
-
-#: Stored entries of the self-loop-augmented adjacency from which the
-#: rows are split into blocks.  On a 2-core host at order 2, one block
-#: beat two up to a 5k-node DC-SBM (33 ms vs 46 ms, ~5·10⁴ entries) and
-#: lost from 10k nodes on (63 ms vs 49 ms at ~10⁵ entries, 180 ms vs
-#: 107 ms at 25k nodes): below this size the pool costs more than the
-#: kernels it splits.
-_BLOCK_MIN_ENTRIES = 100_000
 
 
 def high_order_proximity(adjacency: sp.spmatrix, order: int = 2,
@@ -61,8 +45,24 @@ def high_order_proximity(adjacency: sp.spmatrix, order: int = 2,
         Whether to add the identity before taking powers (the paper's
         Definition 2 convention).
     """
-    return _blocked_proximity(adjacency, proximity_weights(order, weights),
-                              self_loops)
+    weights = proximity_weights(order, weights)
+    base = sp.csr_matrix(adjacency, dtype=np.float64)
+    if self_loops:
+        base = base + sp.eye(base.shape[0], format="csr")
+    n = base.shape[0]
+    power = sp.eye(n, format="csr")
+    total = sp.csr_matrix((n, n), dtype=np.float64)
+    registry = metrics.registry()
+    for k, w in enumerate(weights, start=1):
+        with trace.span(f"proximity/order{k}"), \
+                registry.timer(f"proximity.order{k}").time():
+            power = (power @ base).tocsr()
+            if w:
+                total = total + _scaled(power, w, k == len(weights))
+    # Only ``total`` is read from here on: the last power goes before
+    # ``_row_normalize`` allocates the output.
+    del power
+    return _row_normalize(total)
 
 
 def proximity_weights(order: int,
@@ -87,80 +87,6 @@ def katz_weights(beta: float, order: int) -> np.ndarray:
     return np.array([beta ** (l + 1) for l in range(order)])
 
 
-def _blocked_proximity(adjacency: sp.spmatrix, weights: np.ndarray,
-                       self_loops: bool,
-                       cuts: list[int] | None = None) -> sp.csr_matrix:
-    """Eq. 1 over the row blocks ``cuts[i]:cuts[i + 1]``.
-
-    ``cuts`` defaults to one block per usable core (see
-    :func:`_row_cuts`).  One block runs inline; several run on a thread
-    pool that lives only for this call, so no thread survives into a
-    process that :mod:`repro.parallel` forks later.
-    """
-    base = sp.csr_matrix(adjacency, dtype=np.float64)
-    if self_loops:
-        base = base + sp.eye(base.shape[0], format="csr")
-    if cuts is None:
-        cuts = _row_cuts(base)
-    if len(cuts) == 2:
-        return _proximity_blocks(base, weights, cuts, map)
-    with ThreadPoolExecutor(max_workers=len(cuts) - 1) as pool:
-        return _proximity_blocks(base, weights, cuts, pool.map)
-
-
-def _row_cuts(base: sp.csr_matrix) -> list[int]:
-    """Row boundaries of one block per usable core, balanced by entries.
-
-    One block inside a :mod:`repro.parallel` worker (the pool already
-    uses the cores) and below :data:`_BLOCK_MIN_ENTRIES`.
-    """
-    blocks = 1
-    if base.nnz >= _BLOCK_MIN_ENTRIES and not parallel.in_worker():
-        blocks = _usable_cores()
-    targets = np.arange(1, blocks) * (base.nnz / blocks)
-    inner = np.searchsorted(base.indptr, targets).tolist()
-    return [0, *inner, base.shape[0]]
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _proximity_blocks(base: sp.csr_matrix, weights: np.ndarray,
-                      cuts: list[int], map_blocks) -> sp.csr_matrix:
-    """``Ã`` computed block by block; every step is mapped over the
-    blocks with ``map_blocks`` and finished before the next one starts.
-
-    Spans and timers open here, on the calling thread, because the
-    tracer keeps one span stack; the block steps touch neither.
-    """
-    n = base.shape[0]
-    bounds = list(zip(cuts[:-1], cuts[1:]))
-    powers = [sp.eye(stop - start, n, k=start, format="csr")
-              for start, stop in bounds]
-    totals = [sp.csr_matrix((stop - start, n), dtype=np.float64)
-              for start, stop in bounds]
-    registry = metrics.registry()
-    for k, w in enumerate(weights, start=1):
-        with trace.span(f"proximity/order{k}"), \
-                registry.timer(f"proximity.order{k}").time():
-            powers = list(map_blocks(lambda power: (power @ base).tocsr(),
-                                     powers))
-            if w:
-                merge = all(m.has_canonical_format for m in totals + powers)
-                last = k == len(weights)
-                totals = list(map_blocks(
-                    lambda total, power: _add(total, _scaled(power, w, last),
-                                              merge),
-                    totals, powers))
-    # Only ``totals`` is read from here on: the last powers go before
-    # ``_row_normalize`` allocates the output.
-    del powers
-    return _row_normalize(totals, map_blocks)
-
-
 def _scaled(power: sp.csr_matrix, w: float, last: bool) -> sp.csr_matrix:
     """``w * power``; after the last order nothing reads the unscaled
     power, so its data is scaled in place (the same multiply, no copy of
@@ -169,32 +95,6 @@ def _scaled(power: sp.csr_matrix, w: float, last: bool) -> sp.csr_matrix:
         return w * power
     power.data *= w
     return power
-
-
-def _add(left: sp.csr_matrix, right: sp.csr_matrix,
-         merge: bool) -> sp.csr_matrix:
-    """``left + right`` in the row order a whole-matrix sum would give.
-
-    scipy adds two operands whose rows are all sorted and duplicate-free
-    by merging (sorted output), and any other pair by walking each row
-    in insertion order.  It decides on the whole operands, so a block
-    whose rows all happen to be sorted must still walk when ``merge`` is
-    false: one appended duplicate-index row sends it down that path and
-    sums to nothing.
-    """
-    if merge or not (left.has_canonical_format
-                     and right.has_canonical_format):
-        return left + right
-    rows, cols = left.shape
-    padded = sp.csr_matrix(
-        (np.append(left.data, [0.0, 0.0]), np.append(left.indices, [0, 0]),
-         np.append(left.indptr, left.nnz + 2)), shape=(rows + 1, cols))
-    right = sp.csr_matrix((right.data, right.indices,
-                           np.append(right.indptr, right.nnz)),
-                          shape=(rows + 1, cols))
-    out = padded + right
-    return sp.csr_matrix((out.data, out.indices, out.indptr[:-1]),
-                         shape=(rows, cols))
 
 
 def katz_proximity(adjacency: sp.spmatrix, beta: float = 0.1,
@@ -316,52 +216,35 @@ class ProximityBlocks:
         return total.astype(self.dtype, copy=False)
 
 
-def _row_normalize(blocks: list[sp.csr_matrix],
-                   map_blocks) -> sp.csr_matrix:
-    """The row blocks stacked, each row scaled to sum to one (rows of all
-    zeros stay zero).
+def _row_normalize(total: sp.csr_matrix) -> sp.csr_matrix:
+    """``total`` with each row scaled to sum to one (rows of all zeros
+    stay zero).
 
-    The bytes are those of ``sp.diags(1 / row_sums) @ total`` on the
-    stacked matrix: scipy's product writes each row's entries in reverse
-    stored order and drops the products that are zero.  Each block is
-    written in chunks of rows straight into its slice of the output, so
-    neither that product nor a stacked copy of the blocks is allocated.
+    The bytes are those of ``sp.diags(1 / row_sums) @ total``: scipy's
+    product writes each row's entries in reverse stored order and drops
+    the products that are zero.  The rows are written in chunks straight
+    into the output, so that product is never allocated.
     """
-    inverses = list(map_blocks(_inverse_row_sums, blocks))
-    nnz = [block.nnz for block in blocks]
-    offsets = np.cumsum([0, *nnz]).tolist()
-    cols = blocks[0].shape[1]
-    idx_dtype = np.result_type(np.int32, *(array.dtype for block in blocks
-                                           for array in (block.indptr,
-                                                         block.indices)))
-    if max(offsets[-1], cols) > np.iinfo(np.int32).max:
+    sums = np.asarray(total.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / sums
+    inv[~np.isfinite(inv)] = 0.0
+    rows, cols = total.shape
+    idx_dtype = np.result_type(np.int32, total.indptr.dtype,
+                               total.indices.dtype)
+    if max(total.nnz, cols) > np.iinfo(np.int32).max:
         idx_dtype = np.int64
-    data = np.empty(offsets[-1], dtype=np.float64)
-    indices = np.empty(offsets[-1], dtype=idx_dtype)
-    indptr = np.concatenate(
-        [block.indptr[:-1].astype(idx_dtype) + offset
-         for block, offset in zip(blocks, offsets)]
-        + [np.array([offsets[-1]], dtype=idx_dtype)])
-    zeros = list(map_blocks(
-        lambda block, inv, start, stop: _scale_reversed(
-            block, inv, data[start:stop], indices[start:stop]),
-        blocks, inverses, offsets[:-1], offsets[1:]))
-    out = sp.csr_matrix((data, indices, indptr),
-                        shape=(len(indptr) - 1, cols))
-    if any(zeros):
+    data = np.empty(total.nnz, dtype=np.float64)
+    indices = np.empty(total.nnz, dtype=idx_dtype)
+    indptr = total.indptr.astype(idx_dtype)
+    zeros = _scale_reversed(total, inv, data, indices)
+    out = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+    if zeros:
         out.eliminate_zeros()
     return out
 
 
-def _inverse_row_sums(block: sp.csr_matrix) -> np.ndarray:
-    sums = np.asarray(block.sum(axis=1)).ravel()
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / sums
-    inv[~np.isfinite(inv)] = 0.0
-    return inv
-
-
-#: :func:`_scale_reversed` walks a block in about this many chunks of
+#: :func:`_scale_reversed` walks a matrix in about this many chunks of
 #: rows, each of at least ``_CHUNK_ENTRIES`` stored entries: its
 #: temporaries stay a few percent of the output, and few enough
 #: allocations that tracing them costs little.
@@ -369,20 +252,20 @@ _CHUNKS = 64
 _CHUNK_ENTRIES = 1 << 14
 
 
-def _scale_reversed(block: sp.csr_matrix, inv: np.ndarray, data: np.ndarray,
-                    indices: np.ndarray) -> bool:
-    """Write row ``r`` of ``block`` times ``inv[r]``, its entries in
+def _scale_reversed(matrix: sp.csr_matrix, inv: np.ndarray,
+                    data: np.ndarray, indices: np.ndarray) -> bool:
+    """Write row ``r`` of ``matrix`` times ``inv[r]``, its entries in
     reverse order, into ``data``/``indices``; whether a product is zero.
 
     A row with ``inv[r] == 0`` has no entry in scipy's product, so its
     products are zeroed for :meth:`~scipy.sparse.csr_matrix.eliminate_zeros`
     to drop, even where a stored value is infinite.
     """
-    indptr = block.indptr.astype(np.int64)
+    indptr = matrix.indptr.astype(np.int64)
     counts = np.diff(indptr)
     dead_rows = not inv.all()
-    chunk = max(_CHUNK_ENTRIES, block.nnz // _CHUNKS)
-    firsts = np.searchsorted(indptr, np.arange(0, block.nnz, chunk),
+    chunk = max(_CHUNK_ENTRIES, matrix.nnz // _CHUNKS)
+    firsts = np.searchsorted(indptr, np.arange(0, matrix.nnz, chunk),
                              side="right") - 1
     bounds = np.unique(np.append(firsts, len(counts))).tolist()
     zeros = False
@@ -392,8 +275,8 @@ def _scale_reversed(block: sp.csr_matrix, inv: np.ndarray, data: np.ndarray,
         source = np.repeat(indptr[r0:r1] + indptr[r0 + 1:r1 + 1] - 1,
                            counts[r0:r1])
         source -= np.arange(start, stop)
-        indices[start:stop] = block.indices[source]
-        scaled = block.data[source]
+        indices[start:stop] = matrix.indices[source]
+        scaled = matrix.data[source]
         del source
         scale = np.repeat(inv[r0:r1], counts[r0:r1])
         scaled *= scale

@@ -142,6 +142,8 @@ class RunLedger:
         try:
             with open(self.index_path) as fh:
                 index = json.load(fh)
+            if not isinstance(index, dict):
+                raise ValueError("ledger index is not a JSON object")
             if index.get("version") != 1:
                 raise ValueError(f"unknown ledger index version "
                                  f"{index.get('version')!r}")
@@ -177,9 +179,7 @@ class RunLedger:
                 continue
             for position, raw in enumerate(lines):
                 try:
-                    entry = json.loads(raw.decode())
-                    if not isinstance(entry, dict) or "key" not in entry:
-                        raise ValueError("not a ledger entry")
+                    entry = _ledger_entry(raw)
                 except (ValueError, UnicodeDecodeError):
                     if position != len(lines) - 1:
                         warnings.warn(
@@ -190,8 +190,7 @@ class RunLedger:
                     continue
                 index["runs"].setdefault(entry["key"], []).append(
                     _summary(entry, segment, offset))
-                index["next_seq"] = max(index["next_seq"],
-                                        int(entry.get("seq", -1)) + 1)
+                index["next_seq"] = max(index["next_seq"], entry["seq"] + 1)
                 offset += len(raw)
             # Record the full scanned size (torn tail included) so a
             # damaged file does not force a rebuild on every load.
@@ -259,6 +258,17 @@ class RunLedger:
 
     def __len__(self) -> int:
         return len(self.summaries())
+
+
+def _ledger_entry(raw: bytes) -> dict:
+    """One segment line as an entry with a ``str`` key and an ``int``
+    ``seq``; a ``ValueError`` for anything else."""
+    entry = json.loads(raw.decode())
+    if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
+        raise ValueError("not a ledger entry")
+    if type(entry.get("seq")) is not int:
+        raise ValueError("ledger entry without an integer seq")
+    return entry
 
 
 def _summary(entry: dict, segment: str, offset: int) -> dict:

@@ -55,18 +55,13 @@ from .obs import events, metrics, trace
 from .resilience import faultinject
 
 __all__ = [
-    "ChildTelemetry", "ParallelExecutor", "TaskOutcome", "in_worker",
-    "parallel_map", "resolve_workers", "default_task_retries", "default_task_timeout",
+    "ChildTelemetry", "ParallelExecutor", "TaskOutcome", "parallel_map",
+    "resolve_workers", "default_task_retries", "default_task_timeout",
     "default_task_backoff",
 ]
 
 #: Set in worker processes so nested code resolves to serial execution.
 _IN_WORKER = False
-
-
-def in_worker() -> bool:
-    """Whether this process is a :class:`ParallelExecutor` pool worker."""
-    return _IN_WORKER
 
 
 def default_task_retries() -> int:
@@ -161,8 +156,8 @@ class TaskOutcome:
     telemetry: ChildTelemetry | None = None
 
 
-def _run_in_worker(fn: Callable, index: int, args: tuple,
-                   capture: bool, attempt: int = 0) -> TaskOutcome:
+def _run_task(fn: Callable, index: int, args: tuple,
+             capture: bool, attempt: int = 0) -> TaskOutcome:
     """Worker-side wrapper: isolate telemetry, run the task, package both.
 
     Runs in the pool process.  Inherited sinks/tracers are detached so
@@ -339,7 +334,7 @@ class ParallelExecutor:
         pool = ProcessPoolExecutor(max_workers=min(self.workers,
                                                    len(pending)))
         try:
-            futures = [(index, pool.submit(_run_in_worker, fn, index,
+            futures = [(index, pool.submit(_run_task, fn, index,
                                            tasks[index], self.telemetry,
                                            attempt))
                        for index in pending]

@@ -2,7 +2,6 @@
 
 import functools
 import hashlib
-import os
 import tracemalloc
 from fractions import Fraction
 
@@ -19,9 +18,8 @@ from repro.graph import (high_order_proximity, katz_proximity,
                          load_dataset, modularity_degree,
                          proximity_statistics)
 from repro.graph.generators import sparse_dcsbm
-from repro.graph.proximity import (_BLOCK_MIN_ENTRIES, ProximityBlocks,
-                                   _blocked_proximity, _row_cuts,
-                                   katz_weights, proximity_weights)
+from repro.graph.proximity import (ProximityBlocks, katz_weights,
+                                   proximity_weights)
 from repro.obs import trace
 
 
@@ -135,8 +133,8 @@ class TestPinnedBytes:
 
 
 def reference_proximity(adjacency, weights, self_loops):
-    """Eq. 1 as one loop over the whole matrix — how ``Ã`` was computed
-    before it was split into row blocks."""
+    """Eq. 1 as one loop over the whole matrix, normalised by scipy's
+    diagonal product."""
     base = sp.csr_matrix(adjacency, dtype=np.float64)
     if self_loops:
         base = base + sp.eye(base.shape[0], format="csr")
@@ -163,9 +161,9 @@ def assert_same_bytes(actual, expected):
 
 
 @st.composite
-def blocked_inputs(draw):
-    """A small weighted graph (often with isolated nodes), Eq. 1 weights
-    and arbitrary row cuts — repeated cuts make empty blocks."""
+def proximity_inputs(draw):
+    """A small weighted graph (often with isolated nodes) and Eq. 1
+    weights."""
     n = draw(st.integers(min_value=1, max_value=12))
     dense = np.zeros((n, n))
     for i, j, w in draw(st.lists(
@@ -180,56 +178,21 @@ def blocked_inputs(draw):
     else:
         beta = draw(st.floats(min_value=0.05, max_value=0.95))
         weights = np.array([beta ** (l + 1) for l in range(order)])
-    inner = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
-    return (sp.csr_matrix(dense), weights, draw(st.booleans()),
-            [0, *inner, n])
+    return sp.csr_matrix(dense), weights, draw(st.booleans())
 
 
 class TestRowBlocks:
+    """``Ã`` has the one-loop reference's bytes, also when traced and
+    when built inside a pool worker."""
+
     @settings(max_examples=200, deadline=None)
-    @given(blocked_inputs())
+    @given(proximity_inputs())
     def test_blocks_concatenate_to_the_whole_matrix(self, inputs):
-        adjacency, weights, self_loops, cuts = inputs
-        expected = reference_proximity(adjacency, weights, self_loops)
+        adjacency, weights, self_loops = inputs
         assert_same_bytes(
             high_order_proximity(adjacency, order=len(weights),
                                  weights=weights, self_loops=self_loops),
-            expected)
-        assert_same_bytes(
-            _blocked_proximity(adjacency, weights, self_loops, cuts),
-            expected)
-
-    def test_sorted_rows_in_one_block_still_follow_the_whole(self):
-        # Rows 3 and 4 form an isolated edge: without self-loops each of
-        # their operands holds one entry, so a block of those rows alone
-        # is sorted while the whole matrix is not.
-        adjacency = sp.csr_matrix(np.array([
-            [0, 1, 1, 0, 0], [1, 0, 1, 0, 0], [1, 1, 0, 0, 0],
-            [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]], dtype=float))
-        weights = np.array([0.5, 0.5])
-        expected = reference_proximity(adjacency, weights, False)
-        for cuts in ([0, 3, 5], [0, 4, 5], [0, 1, 2, 3, 4, 5]):
-            assert_same_bytes(
-                _blocked_proximity(adjacency, weights, False, cuts), expected)
-
-    def test_small_graphs_run_as_one_block(self):
-        base = sp.csr_matrix(load_dataset("cora", scale=0.15,
-                                          seed=0).adjacency)
-        assert base.nnz < _BLOCK_MIN_ENTRIES
-        assert _row_cuts(base) == [0, base.shape[0]]
-
-    def test_12k_graph_is_split_by_usable_core(self, monkeypatch):
-        base = graph_12k().adjacency + sp.eye(12_000, format="csr")
-        assert base.nnz >= _BLOCK_MIN_ENTRIES
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2}, raising=False)
-        cuts = _row_cuts(base)
-        assert len(cuts) == 4 and cuts[0] == 0 and cuts[-1] == 12_000
-        # Balanced by stored entries, not by rows.
-        entries = np.diff(base.indptr[cuts])
-        assert entries.max() - entries.min() < 0.01 * base.nnz
-        monkeypatch.setattr(parallel, "in_worker", lambda: True)
-        assert _row_cuts(base) == [0, 12_000]
+            reference_proximity(adjacency, weights, self_loops))
 
     def test_traced_build_nests_orders_under_the_workspace(self):
         # A full-batch build: a sampled one never forms Ã (its per-order
@@ -251,11 +214,11 @@ class TestRowBlocks:
         assert csr_digest(traced.prox) == csr_digest(untraced.prox) \
             == PROXIMITY_DIGESTS["dcsbm12k_order2"]
 
-    def test_pool_workers_run_one_block_each(self):
+    def test_pool_workers_build_the_pinned_bytes(self):
         adjacency = graph_12k().adjacency
         results = parallel.ParallelExecutor(2).map(
             _proximity_in_worker, [(adjacency,), (adjacency,)])
-        assert results == [(True, 1, PROXIMITY_DIGESTS["dcsbm12k_order2"])] * 2
+        assert results == [PROXIMITY_DIGESTS["dcsbm12k_order2"]] * 2
 
 
 @functools.lru_cache(maxsize=2)
@@ -423,17 +386,9 @@ class TestBuildMemory:
     through the row normalisation peaks at 3.3× the output here.
     """
 
-    @pytest.mark.parametrize("cores", [1, 3])
     @pytest.mark.parametrize("order", [2, 3])
-    def test_peak_is_at_most_two_and_a_half_outputs(self, monkeypatch,
-                                                    order, cores):
+    def test_peak_is_at_most_two_and_a_half_outputs(self, order):
         adjacency = graph_12k().adjacency
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cores)), raising=False)
-        monkeypatch.setattr(parallel, "in_worker", lambda: False)
-        base = adjacency + sp.eye(adjacency.shape[0], format="csr")
-        assert len(_row_cuts(base)) == cores + 1
-        del base
         tracemalloc.start()
         try:
             prox = high_order_proximity(adjacency, order=order)
@@ -446,9 +401,7 @@ class TestBuildMemory:
 
 
 def _proximity_in_worker(adjacency):
-    base = adjacency + sp.eye(adjacency.shape[0], format="csr")
-    return (parallel.in_worker(), len(_row_cuts(base)) - 1,
-            csr_digest(high_order_proximity(adjacency, order=2)))
+    return csr_digest(high_order_proximity(adjacency, order=2))
 
 
 class TestModularityDegree:

@@ -145,19 +145,46 @@ class TestCrashRecovery:
             assert len(RunLedger(tmp_path)) == 1
         assert reloaded.append(_entry())["seq"] == 1
 
-    def test_corrupt_middle_line_warns(self, tmp_path):
+    @staticmethod
+    def _assert_middle_line_skipped(tmp_path, line):
+        """``line`` between two good entries warns, is skipped, and the
+        next ``seq`` follows the good ones."""
         ledger = RunLedger(tmp_path)
         ledger.append(_entry())
         segment = ledger._segment_files()[-1]
         path = os.path.join(str(tmp_path), segment)
         with open(path, "ab") as fh:
-            fh.write(b"garbage not json\n")
+            fh.write(line + b"\n")
             fh.write((json.dumps(dict(_entry(), seq=1)) + "\n").encode())
         os.remove(ledger.index_path)
         reloaded = RunLedger(tmp_path)
         with pytest.warns(RuntimeWarning, match="corrupt ledger line"):
             entries = reloaded.entries()
         assert [e["seq"] for e in entries] == [0, 1]
+        assert reloaded.append(_entry())["seq"] == 2
+
+    def test_corrupt_middle_line_warns(self, tmp_path):
+        self._assert_middle_line_skipped(tmp_path, b"garbage not json")
+
+    @pytest.mark.parametrize("line", [
+        b'{"key": "fit:x"}',
+        b'{"key": "fit:x", "seq": "x"}',
+        b'{"key": ["a"], "seq": 3}',
+        b'{"key": "fit:x", "seq": 1.5e400}',
+    ], ids=["no-seq", "str-seq", "list-key", "inf-seq"])
+    def test_garbled_middle_line_warns(self, tmp_path, line):
+        self._assert_middle_line_skipped(tmp_path, line)
+
+    @pytest.mark.parametrize("index", ["[]", '"x"'], ids=["list", "string"])
+    def test_index_that_is_not_an_object_is_rebuilt(self, tmp_path, index):
+        ledger = RunLedger(tmp_path)
+        for _ in range(2):
+            ledger.append(_entry())
+        with open(ledger.index_path, "w") as fh:
+            fh.write(index)
+        reloaded = RunLedger(tmp_path)
+        assert [e["seq"] for e in reloaded.entries()] == [0, 1]
+        assert reloaded.append(_entry())["seq"] == 2
 
 
 # --------------------------------------------------------------------- #
